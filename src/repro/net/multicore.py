@@ -63,74 +63,38 @@ And the PR 3 resilience layer:
   exactly one bucket — forwarded, dropped (NF verdicts + watchdog
   losses), or aborted — checked by
   :attr:`MulticoreResult.is_fully_accounted`.
+
+The replay itself is the :class:`~repro.net.dispatch.DispatchLoop`
+that :class:`~repro.net.slo.SloController` also configures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.algorithms.hashing import fast_hash32
 from ..ebpf.cost_model import CPU_HZ, Category, NumaTopology
 from ..ebpf.percpu import or_words, sum_counts, sum_matrices
-from ..faults import PKT_DUP, FaultInjector, FaultPlan, WedgeDetection
-from .packet import Packet, XdpAction
-from .queueing import CoreQueue, QueueingConfig, latency_summary_us
+from ..faults import FaultInjector, FaultPlan, WedgeDetection
+# The watchdog types live with the loop; callers import them from here.
+from .dispatch import (
+    DEFAULT_WATCHDOG_DEADLINE,
+    AllCoresDeadError,
+    CoreFailure,
+    DispatchLoop,
+    PacketLedger,
+)
+from .packet import Packet
+from .queueing import QueueingConfig
 from .steering import RSS_HASH_SEED, RssSteering, SteeringPolicy, make_policy
 from .xdp import (
     DEFAULT_BATCH_SIZE,
-    FORWARD_ACTIONS,
     NetworkFunction,
     PipelineResult,
     ReplaySession,
     XdpPipeline,
 )
-
-#: Hash seed of the failover re-steer (distinct from every RSS seed so
-#: a dead core's flows spread evenly over the survivors).
-FAILOVER_SEED = 0xFA110FF
-
-#: Packets that may pile up on a wedged core before the watchdog
-#: declares it dead (the "deadline exceeded" detector).
-DEFAULT_WATCHDOG_DEADLINE = 1024
-
-
-class AllCoresDeadError(RuntimeError):
-    """Every core failed — there is nowhere left to re-steer traffic."""
-
-
-@dataclass
-class CoreFailure:
-    """One watchdog event: a core died and its traffic was re-steered.
-
-    ``processed`` is how many packets the core completed before the
-    fault; ``lost`` counts packets that sat in its queue and were never
-    processed (wedge only — a crash is detected immediately, so nothing
-    queues behind it); ``resteered`` counts packets redirected to
-    surviving cores after detection.  ``repacked`` is True when the
-    steering policy rebuilt its placement table over the survivors
-    (fault-aware re-pack) instead of relying on the failover hash — in
-    that case ``resteered`` stays 0, because no packet ever reaches
-    the dead queue to be redirected.
-    """
-
-    core: int
-    kind: str                     # "crash" | "wedge"
-    processed: int = 0
-    lost: int = 0
-    resteered: int = 0
-    repacked: bool = False
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "core": self.core,
-            "kind": self.kind,
-            "processed": self.processed,
-            "lost": self.lost,
-            "resteered": self.resteered,
-            "repacked": self.repacked,
-        }
 
 
 def rss_queue(packet: Packet, n_cores: int, hash_seed: int = RSS_HASH_SEED) -> int:
@@ -154,7 +118,7 @@ def shard_trace(
 
 
 @dataclass
-class MulticoreResult:
+class MulticoreResult(PacketLedger):
     """System-level aggregate of one multi-queue replay.
 
     ``numa_cycles`` (when a :class:`NumaTopology` was in play) holds
@@ -193,31 +157,9 @@ class MulticoreResult:
     # -- resilience accounting ------------------------------------------
 
     @property
-    def forwarded(self) -> int:
-        return sum(self.actions.get(a, 0) for a in FORWARD_ACTIONS)
-
-    @property
     def overflow_drops(self) -> int:
         """Packets dropped on arrival because a core's RX ring was full."""
         return sum(self.overflow)
-
-    @property
-    def dropped(self) -> int:
-        """NF drop verdicts, watchdog losses, and RX-ring overflow."""
-        return (
-            self.actions.get(XdpAction.DROP, 0)
-            + self.lost
-            + self.overflow_drops
-        )
-
-    @property
-    def aborted(self) -> int:
-        return self.actions.get(XdpAction.ABORTED, 0)
-
-    @property
-    def duplicated(self) -> int:
-        """Extra packet copies injected by ``pkt_dup`` faults."""
-        return self.injected.get(PKT_DUP, 0)
 
     @property
     def errors(self) -> Dict[str, int]:
@@ -227,32 +169,6 @@ class MulticoreResult:
     @property
     def n_errors(self) -> int:
         return sum(self.errors.values())
-
-    @property
-    def is_fully_accounted(self) -> bool:
-        """Every offered packet ended in exactly one verdict bucket.
-
-        The invariant: ``packets_in + duplicated ==
-        forwarded + dropped + aborted`` (``dropped`` includes watchdog
-        losses).  Holds whenever the dispatcher ran with accounting
-        (``packets_in > 0`` or an empty trace).
-        """
-        return (
-            self.packets_in + self.duplicated
-            == self.forwarded + self.dropped + self.aborted
-        )
-
-    def accounting(self) -> Dict[str, int]:
-        """The accounting ledger as a plain dict (chaos report / bench)."""
-        return {
-            "packets_in": self.packets_in,
-            "duplicated": self.duplicated,
-            "forwarded": self.forwarded,
-            "dropped": self.dropped,
-            "aborted": self.aborted,
-            "lost": self.lost,
-            "overflow": self.overflow_drops,
-        }
 
     # -- latency (queueing model) ---------------------------------------
 
@@ -275,10 +191,6 @@ class MulticoreResult:
     @property
     def p99_latency_us(self) -> float:
         return self.latency_percentile_us(99.0)
-
-    def latency_summary(self) -> Dict[str, float]:
-        """The p50/p95/p99 block (see :func:`latency_summary_us`)."""
-        return latency_summary_us(self.latencies_ns)
 
     @property
     def total_cycles(self) -> int:
@@ -437,9 +349,8 @@ class RssDispatcher:
     batches, and are serviced on a softirq-deferred single server whose
     busy time is the batch's measured cycle cost — the result then
     carries per-packet sojourn times (p50/p95/p99) and queue-overflow
-    drops.  With ``queueing=None`` the original path runs untouched:
-    cycle totals and fault schedules are bit-identical to a build
-    without the model.
+    drops.  With ``queueing=None`` each core buffers one untimed batch
+    instead; cycle totals and fault schedules are identical either way.
     """
 
     def __init__(
@@ -503,15 +414,6 @@ class RssDispatcher:
     def queue_of(self, packet: Packet) -> int:
         return self.steering.queue_of(packet)
 
-    def _deadlines(self) -> List[int]:
-        """Per-core wedge-detection deadlines (packets lost before dead)."""
-        if self.detection is not None:
-            return [
-                self.detection.deadline_for(core)
-                for core in range(self.n_cores)
-            ]
-        return [self.watchdog_deadline] * self.n_cores
-
     def run(
         self,
         trace: Iterable[Packet],
@@ -539,432 +441,46 @@ class RssDispatcher:
         per-packet clock advance.
 
         When the fault plan names a ``crash_core``/``wedge_core``, the
-        watchdog path engages: the victim's traffic is re-steered onto
+        watchdog engages: the victim's traffic is re-steered onto
         surviving cores after detection, and the result carries
-        :class:`CoreFailure` records plus full packet accounting.
+        :class:`CoreFailure` records plus full packet accounting.  The
+        replay itself is one :class:`~repro.net.dispatch.DispatchLoop`.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.queueing is not None:
-            return self._run_queued(
-                trace, batch_size=batch_size, use_batch=use_batch,
+        loop = DispatchLoop(
+            lambda core: ReplaySession(
+                self.pipelines[core],
                 advance_clock=advance_clock,
-            )
-        stream = iter(trace)
-        policy = self.steering
-        if policy.sample_size > 0:
-            sample = list(islice(stream, policy.sample_size))
-            policy.prepare(sample)
-            stream = chain(sample, stream)
-        sessions = [
-            ReplaySession(
-                pipeline, advance_clock=advance_clock, use_batch=use_batch
-            )
-            for pipeline in self.pipelines
-        ]
-        buffers: List[List[Packet]] = [[] for _ in range(self.n_cores)]
-        queue_of = policy.queue_of
-        n_cores = self.n_cores
-        plan = self.faults
-        crash_at: Dict[int, int] = {}
-        wedge_at: Dict[int, int] = {}
-        if plan is not None:
-            for core in range(n_cores):
-                point = plan.crash_point(core)
-                if point is not None:
-                    crash_at[core] = point
-                point = plan.wedge_point(core)
-                if point is not None:
-                    wedge_at[core] = point
-        packets_in = 0
-        lost = [0] * n_cores
-        failures: List[CoreFailure] = []
-
-        if not crash_at and not wedge_at:
-            # Healthy fleet: the original streaming loop, untouched.
-            for pkt in stream:
-                packets_in += 1
-                queue = queue_of(pkt)
-                buf = buffers[queue]
-                buf.append(pkt)
-                if len(buf) == batch_size:
-                    sessions[queue].feed(buf)
-                    buffers[queue] = []
-            for queue, buf in enumerate(buffers):
-                if buf:
-                    sessions[queue].feed(buf)
-        else:
-            # Watchdog path: same steering and batch boundaries until a
-            # core fails, then its traffic re-steers to the survivors.
-            alive = [True] * n_cores
-            wedged = [False] * n_cores
-            fed = [0] * n_cores
-            failure_of: Dict[int, CoreFailure] = {}
-            deadlines = self._deadlines()
-
-            def declare_dead(queue: int, kind: str) -> None:
-                alive[queue] = False
-                record = CoreFailure(
-                    core=queue, kind=kind,
-                    processed=fed[queue], lost=lost[queue],
-                )
-                failures.append(record)
-                failure_of[queue] = record
-                survivors = [c for c in range(n_cores) if alive[c]]
-                if (
-                    self.repack_on_failure
-                    and survivors
-                    and policy.repack(survivors)
-                ):
-                    record.repacked = True
-
-            def failover_queue(key: int) -> int:
-                survivors = [c for c in range(n_cores) if alive[c]]
-                if not survivors:
-                    raise AllCoresDeadError(
-                        "every core has failed; traffic has nowhere to go"
-                    )
-                return survivors[fast_hash32(key, FAILOVER_SEED) % len(survivors)]
-
-            def enqueue(pkt: Packet) -> None:
-                queue = queue_of(pkt)
-                if not alive[queue]:
-                    record = failure_of.get(queue)
-                    if record is not None:
-                        record.resteered += 1
-                    queue = failover_queue(pkt.key_int)
-                buf = buffers[queue]
-                buf.append(pkt)
-                if len(buf) == batch_size:
-                    flush(queue)
-
-            def flush(queue: int) -> None:
-                buf = buffers[queue]
-                if not buf:
-                    return
-                buffers[queue] = []
-                if wedged[queue]:
-                    # Wedged core: packets pile up unprocessed.  Once
-                    # the pile crosses the deadline, the watchdog fires.
-                    lost[queue] += len(buf)
-                    if alive[queue] and lost[queue] >= deadlines[queue]:
-                        declare_dead(queue, "wedge")
-                    return
-                point = crash_at.get(queue)
-                if point is not None and fed[queue] + len(buf) > point:
-                    split = point - fed[queue]
-                    head, rest = buf[:split], buf[split:]
-                    if head:
-                        sessions[queue].feed(head)
-                        fed[queue] += len(head)
-                    del crash_at[queue]
-                    # Worker death is observed immediately; nothing is
-                    # lost — the rest of the batch re-steers right away.
-                    declare_dead(queue, "crash")
-                    for pkt in rest:
-                        enqueue(pkt)
-                    return
-                point = wedge_at.get(queue)
-                if point is not None and fed[queue] + len(buf) > point:
-                    split = point - fed[queue]
-                    head, tail = buf[:split], buf[split:]
-                    if head:
-                        sessions[queue].feed(head)
-                        fed[queue] += len(head)
-                    del wedge_at[queue]
-                    wedged[queue] = True
-                    lost[queue] += len(tail)
-                    if lost[queue] >= deadlines[queue]:
-                        declare_dead(queue, "wedge")
-                    return
-                sessions[queue].feed(buf)
-                fed[queue] += len(buf)
-
-            for pkt in stream:
-                packets_in += 1
-                enqueue(pkt)
-            # Drain: re-steered packets may refill other buffers, so
-            # keep flushing until every buffer is empty.
-            pending = True
-            while pending:
-                pending = False
-                for queue in range(n_cores):
-                    if buffers[queue]:
-                        flush(queue)
-                        pending = True
-            # A wedge that never hit the deadline is still dead at end
-            # of stream — teardown notices and accounts for it.
-            for queue in range(n_cores):
-                if wedged[queue] and alive[queue]:
-                    declare_dead(queue, "wedge")
-
-        per_core = [session.finish() for session in sessions]
-        actions = sum_counts([r.actions for r in per_core])
-        numa_cycles: List[int] = []
-        if self.numa is not None:
-            numa_cycles = [
-                self.numa.packet_penalty_cycles(core, self.n_cores)
-                * result.n_packets
-                for core, result in enumerate(per_core)
-            ]
-        injected: Dict[str, int] = {}
-        if plan is not None:
-            injected = dict(sum_counts([
-                dict(injector.injected)
-                for injector in self.injectors
-                if injector is not None
-            ]))
-        return MulticoreResult(
-            per_core=per_core,
-            actions=actions,
-            numa_cycles=numa_cycles,
-            packets_in=packets_in,
-            lost=sum(lost),
-            failures=failures,
-            injected=injected,
+                use_batch=use_batch,
+            ),
+            self.steering,
+            self.n_cores,
+            batch_size,
+            queueing=self.queueing,
+            faults=self.faults,
+            watchdog_deadline=self.watchdog_deadline,
+            detection=self.detection,
+            repack_on_failure=self.repack_on_failure,
+            numa=self.numa,
         )
-
-    def _run_queued(
-        self,
-        trace: Iterable[Packet],
-        batch_size: int,
-        use_batch: bool,
-        advance_clock: bool,
-    ) -> MulticoreResult:
-        """The latency-faithful replay path (``queueing`` attached).
-
-        A discrete-event loop driven by packet timestamps: each frame
-        arrives into its steered core's bounded RX ring (full ring ==
-        overflow drop), rings close into batches when full or when the
-        oldest frame times out, and a batch is picked up at
-        ``max(batch ready, server free)`` — the single-server NAPI
-        discipline that makes queues *build up* under overload.  The
-        batch's service time is its **measured** cycle delta through
-        the same :class:`ReplaySession` the plain path uses, so NF
-        cycle totals are identical with the model on or off; queueing
-        adds per-packet sojourn times and overflow accounting on top.
-
-        The watchdog semantics mirror :meth:`run` in fed-packet terms:
-        a crash splits the in-flight batch at the crash point, is
-        detected immediately, and everything behind it re-arrives on
-        the survivors at detection time; a wedge stops consumption —
-        ring content and later arrivals count as lost until the
-        detection deadline fires.
-        """
-        cfg = self.queueing
-        assert cfg is not None
-        stream = iter(trace)
-        policy = self.steering
-        if policy.sample_size > 0:
-            sample = list(islice(stream, policy.sample_size))
-            policy.prepare(sample)
-            stream = chain(sample, stream)
-        sessions = [
-            ReplaySession(
-                pipeline, advance_clock=advance_clock, use_batch=use_batch
-            )
-            for pipeline in self.pipelines
-        ]
-        n_cores = self.n_cores
-        queues = [CoreQueue(cfg, batch_size) for _ in range(n_cores)]
-        queue_of = policy.queue_of
-        plan = self.faults
-        crash_at: Dict[int, int] = {}
-        wedge_at: Dict[int, int] = {}
-        if plan is not None:
-            for core in range(n_cores):
-                point = plan.crash_point(core)
-                if point is not None:
-                    crash_at[core] = point
-                point = plan.wedge_point(core)
-                if point is not None:
-                    wedge_at[core] = point
-        packets_in = 0
-        lost = [0] * n_cores
-        failures: List[CoreFailure] = []
-        alive = [True] * n_cores
-        wedged = [False] * n_cores
-        fed = [0] * n_cores
-        failure_of: Dict[int, CoreFailure] = {}
-        deadlines = self._deadlines()
-        latencies: List[int] = []
-        wire_ns = cfg.wire_ns
-        timeout_ns = cfg.batch_timeout_ns
-        numa_pen = [
-            self.numa.packet_penalty_cycles(core, n_cores)
-            if self.numa is not None else 0
-            for core in range(n_cores)
-        ]
-        now = 0
-
-        def declare_dead(queue: int, kind: str) -> None:
-            alive[queue] = False
-            record = CoreFailure(
-                core=queue, kind=kind,
-                processed=fed[queue], lost=lost[queue],
-            )
-            failures.append(record)
-            failure_of[queue] = record
-            survivors = [c for c in range(n_cores) if alive[c]]
-            if (
-                self.repack_on_failure
-                and survivors
-                and policy.repack(survivors)
-            ):
-                record.repacked = True
-
-        def failover_queue(key: int) -> int:
-            survivors = [c for c in range(n_cores) if alive[c]]
-            if not survivors:
-                raise AllCoresDeadError(
-                    "every core has failed; traffic has nowhere to go"
-                )
-            return survivors[fast_hash32(key, FAILOVER_SEED) % len(survivors)]
-
-        def enqueue(pkt: Packet, at_ns: int) -> None:
-            queue = queue_of(pkt)
-            if not alive[queue]:
-                record = failure_of.get(queue)
-                if record is not None:
-                    record.resteered += 1
-                queue = failover_queue(pkt.key_int)
-            if wedged[queue]:
-                # The core stopped consuming: the frame will never be
-                # serviced.  It piles up toward the detection deadline.
-                lost[queue] += 1
-                if alive[queue] and lost[queue] >= deadlines[queue]:
-                    declare_dead(queue, "wedge")
-                return
-            queues[queue].offer(pkt, at_ns)
-
-        def do_service(
-            core: int,
-            batch: List[Packet],
-            arrivals: List[int],
-            pickup_ns: int,
-        ) -> None:
-            cycles = sessions[core].pipeline.rt.cycles
-            before = cycles.total
-            sessions[core].feed(batch)
-            fed[core] += len(batch)
-            service_cyc = (
-                cycles.total - before + numa_pen[core] * len(batch)
-            )
-            service_ns = service_cyc * 1_000_000_000 // CPU_HZ
-            for soj in queues[core].complete(arrivals, pickup_ns, service_ns):
-                latencies.append(soj + wire_ns)
-
-        def feed_measured(
-            core: int,
-            batch: List[Packet],
-            arrivals: List[int],
-            pickup_ns: int,
-        ) -> None:
-            point = crash_at.get(core)
-            if point is not None and fed[core] + len(batch) > point:
-                split = point - fed[core]
-                head, h_arr = batch[:split], arrivals[:split]
-                rest = batch[split:]
-                if head:
-                    do_service(core, head, h_arr, pickup_ns)
-                del crash_at[core]
-                declare_dead(core, "crash")
-                # Worker death is observed immediately: the split-off
-                # tail and everything still in the dead ring re-arrive
-                # on the survivors at detection time.
-                leftover, _ = queues[core].drain()
-                detect_ns = max(now, pickup_ns)
-                for pkt in rest:
-                    enqueue(pkt, detect_ns)
-                for pkt in leftover:
-                    enqueue(pkt, detect_ns)
-                return
-            point = wedge_at.get(core)
-            if point is not None and fed[core] + len(batch) > point:
-                split = point - fed[core]
-                head, h_arr = batch[:split], arrivals[:split]
-                tail = batch[split:]
-                if head:
-                    do_service(core, head, h_arr, pickup_ns)
-                del wedge_at[core]
-                wedged[core] = True
-                leftover, _ = queues[core].drain()
-                lost[core] += len(tail) + len(leftover)
-                if lost[core] >= deadlines[core]:
-                    declare_dead(core, "wedge")
-                return
-            do_service(core, batch, arrivals, pickup_ns)
-
-        def flush_due(horizon_ns: Optional[int]) -> None:
-            """Serve every batch whose pickup time is <= the horizon.
-
-            A core's next pickup is ``max(batch ready, server free)``:
-            ready is the fill instant for a full batch, the coalesce
-            deadline for a partial one.  ``None`` drains everything
-            (end of stream).
-            """
-            while True:
-                best = None
-                for c in range(n_cores):
-                    if not alive[c] or wedged[c]:
-                        continue
-                    q = queues[c]
-                    if not q.pending:
-                        continue
-                    if len(q.pending) >= batch_size:
-                        ready = q.arrivals[batch_size - 1]
-                    else:
-                        ready = q.arrivals[0] + timeout_ns
-                    pickup = max(ready, q.server_free_ns)
-                    if horizon_ns is not None and pickup > horizon_ns:
-                        continue
-                    if best is None or (pickup, c) < best:
-                        best = (pickup, c)
-                if best is None:
-                    return
-                pickup, core = best
-                batch, arrivals = queues[core].take()
-                feed_measured(core, batch, arrivals, pickup)
-
-        for pkt in stream:
-            packets_in += 1
-            ts = pkt.timestamp_ns
-            if ts > now:
-                now = ts
-            flush_due(now)
-            enqueue(pkt, now)
-        flush_due(None)
-        # A wedge that never hit the deadline is still dead at end of
-        # stream — teardown notices and accounts for it.
-        for queue in range(n_cores):
-            if wedged[queue] and alive[queue]:
-                declare_dead(queue, "wedge")
-
-        per_core = [session.finish() for session in sessions]
-        actions = sum_counts([r.actions for r in per_core])
+        per_core = loop.run(trace)
         numa_cycles: List[int] = []
         if self.numa is not None:
             numa_cycles = [
-                numa_pen[core] * result.n_packets
-                for core, result in enumerate(per_core)
+                penalty * result.n_packets
+                for penalty, result in zip(loop.penalty, per_core)
             ]
-        injected: Dict[str, int] = {}
-        if plan is not None:
-            injected = dict(sum_counts([
-                dict(injector.injected)
-                for injector in self.injectors
-                if injector is not None
-            ]))
         return MulticoreResult(
             per_core=per_core,
-            actions=actions,
+            actions=loop.actions,
             numa_cycles=numa_cycles,
-            packets_in=packets_in,
-            lost=sum(lost),
-            failures=failures,
-            injected=injected,
-            latencies_ns=latencies,
-            overflow=[q.overflowed for q in queues],
+            packets_in=loop.packets_in,
+            lost=sum(loop.lost),
+            failures=loop.failures,
+            injected=loop.injected,
+            latencies_ns=loop.latencies,
+            overflow=loop.ring_overflow() if self.queueing is not None else [],
         )
 
 

@@ -33,10 +33,11 @@ existing cycle accounting:
   which is what p50/p95/p99 latency is computed from.
 
 The model is attached to :class:`~repro.net.multicore.RssDispatcher`
-via ``queueing=QueueingConfig(...)``; when it is ``None`` (the
-default) the dispatcher runs the original path untouched, and every
-cycle total and fault schedule is bit-identical to previous releases
-(the PR 3 determinism contract).  Because cycle accounting is
+via ``queueing=QueueingConfig(...)``: it selects the timed ring model
+of the one :class:`~repro.net.dispatch.DispatchLoop`.  When it is
+``None`` (the default) each core buffers untimed batches instead, and
+every cycle total and fault schedule is bit-identical to previous
+releases (the PR 3 determinism contract).  Because cycle accounting is
 independent of batch boundaries, total cycles are identical with the
 model on or off — queueing adds *information* (latency, overflow),
 never different charges.
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.algorithms.hashing import fast_hash32
 from .packet import Packet
@@ -247,11 +248,12 @@ class QueueingConfig:
 class CoreQueue:
     """One core's RX ring + batching + single-server service state.
 
-    Mechanics only — the owner decides *when* batches close (on
-    fullness, on coalesce timeout, at end of stream) and supplies the
-    measured service time; the queue tracks ring occupancy, overflow,
-    and the server's busy horizon, and converts (arrival, pickup,
-    service) into per-packet sojourn times.
+    Mechanics only — :meth:`pickup_ns` says when the next batch can be
+    picked up, the owner (:class:`~repro.net.dispatch.DispatchLoop`)
+    decides which core goes first and supplies the measured service
+    time; the queue tracks ring occupancy, overflow, and the server's
+    busy horizon, and converts (arrival, pickup, service) into
+    per-packet sojourn times.
     """
 
     __slots__ = (
@@ -292,25 +294,20 @@ class CoreQueue:
         self.arrivals.append(now_ns)
         return True
 
-    @property
-    def full(self) -> bool:
-        """A whole batch is waiting — close it now."""
-        return len(self.pending) >= self.batch_size
+    def pickup_ns(self) -> int:
+        """When the server picks up the next batch (ring non-empty).
 
-    @property
-    def deadline_ns(self) -> Optional[int]:
-        """When the coalescing timeout fires for the oldest frame."""
-        if not self.arrivals:
-            return None
-        return self.arrivals[0] + self.cfg.batch_timeout_ns
-
-    def due(self, now_ns: int) -> bool:
-        """Is a batch ready (full, or the oldest frame timed out)?"""
-        if not self.pending:
-            return False
-        if self.full:
-            return True
-        return now_ns >= self.arrivals[0] + self.cfg.batch_timeout_ns
+        ``max(ready, server free)``: a whole batch is ready the instant
+        its last frame arrives, a partial one once its oldest frame has
+        waited the coalescing timeout.
+        """
+        n = self.batch_size
+        arrivals = self.arrivals
+        if len(arrivals) >= n:
+            ready = arrivals[n - 1]
+        else:
+            ready = arrivals[0] + self.cfg.batch_timeout_ns
+        return max(ready, self.server_free_ns)
 
     def take(self) -> Tuple[List[Packet], List[int]]:
         """Pop up to one batch (packets and their arrival times)."""

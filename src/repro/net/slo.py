@@ -27,8 +27,13 @@ epoch it observes p50/p95/p99 sojourn latency and acts:
   actions, and exponential backoff on scale-ups that fail to bring the
   fleet back under target.
 
+The replay is :class:`~repro.net.multicore.RssDispatcher`'s
+:class:`~repro.net.dispatch.DispatchLoop` (timed rings, the table as
+steering policy, repack on every failure) with the autoscaler and
+rejoin policy as its epoch hook.
+
 Everything is deterministic: same trace + same seeds -> the identical
-timeline of :class:`EpochStats`, byte for byte.
+timeline of :class:`EpochStats`, byte for byte, on every run.
 """
 
 from __future__ import annotations
@@ -37,22 +42,19 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.algorithms.hashing import fast_hash32
-from ..ebpf.cost_model import CPU_HZ
-from ..faults import PKT_DUP, FaultPlan, WedgeDetection
+from ..faults import FaultPlan, WedgeDetection
 from ..nfs.degrade import ColdStartWarmup
-from .multicore import (
-    AllCoresDeadError,
-    CoreFailure,
+from .dispatch import (
     DEFAULT_WATCHDOG_DEADLINE,
-    FAILOVER_SEED,
+    CoreFailure,
+    DispatchLoop,
+    PacketLedger,
 )
-from .packet import Packet, XdpAction
-from .queueing import CoreQueue, QueueingConfig, latency_summary_us
-from .stats import percentile
+from .packet import Packet
+from .queueing import QueueingConfig, latency_summary_us
 from .steering import RSS_HASH_SEED
 from .xdp import (
     DEFAULT_BATCH_SIZE,
-    FORWARD_ACTIONS,
     NetworkFunction,
     ReplaySession,
     XdpPipeline,
@@ -76,7 +78,9 @@ class IndirectionTable:
     bucket names one core — the RSS indirection table.  ``repack``
     rewrites *only* the buckets whose core left the active set (plus
     the fewest needed to even out a grown set), so a failure or a
-    scaling action moves the minimum number of flow groups.
+    scaling action moves the minimum number of flow groups.  It is an
+    ordinary steering policy (``queue_of``/``repack``) to the dispatch
+    loop.
     """
 
     def __init__(
@@ -151,6 +155,12 @@ class IndirectionTable:
             fast_hash32(key, self.hash_seed) % self.table_size
         ]
 
+    # The steering-policy interface the dispatch loop drives.
+    sample_size = 0
+
+    def queue_of(self, packet: Packet) -> int:
+        return self.core_of(packet.key_int)
+
     def describe(self) -> Dict[str, object]:
         return {
             "table_size": self.table_size,
@@ -210,8 +220,12 @@ class CoreAutoscaler:
         self.low_water = low_water
         self.cooldown_epochs = cooldown_epochs
         self.max_backoff_epochs = max_backoff_epochs
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every past decision (a fresh run starts here)."""
         self._hold = 0
-        self._backoff = cooldown_epochs
+        self._backoff = self.cooldown_epochs
         self._last_was_up = False
         self.scale_ups = 0
         self.scale_downs = 0
@@ -345,45 +359,24 @@ class EpochStats:
 
 
 @dataclass
-class SloRun:
+class SloRun(PacketLedger):
     """Full outcome of one controlled replay: timeline + accounting."""
 
     timeline: List[EpochStats]
     config: SloConfig
     packets_in: int = 0
-    forwarded: int = 0
-    nf_dropped: int = 0
-    aborted: int = 0
-    duplicated: int = 0
+    #: Verdict counts over every session the run used.
+    actions: Dict[str, int] = field(default_factory=dict)
+    #: Injected-fault counts by kind (``pkt_dup`` copies included).
+    injected: Dict[str, int] = field(default_factory=dict)
     lost: int = 0
     overflow: int = 0
     latencies_ns: List[int] = field(default_factory=list)
     failures: List[CoreFailure] = field(default_factory=list)
 
     @property
-    def dropped(self) -> int:
-        return self.nf_dropped + self.lost + self.overflow
-
-    @property
-    def is_fully_accounted(self) -> bool:
-        return (
-            self.packets_in + self.duplicated
-            == self.forwarded + self.dropped + self.aborted
-        )
-
-    def accounting(self) -> Dict[str, int]:
-        return {
-            "packets_in": self.packets_in,
-            "duplicated": self.duplicated,
-            "forwarded": self.forwarded,
-            "dropped": self.dropped,
-            "aborted": self.aborted,
-            "lost": self.lost,
-            "overflow": self.overflow,
-        }
-
-    def latency_summary(self) -> Dict[str, float]:
-        return latency_summary_us(self.latencies_ns)
+    def overflow_drops(self) -> int:
+        return self.overflow
 
     @property
     def worst_p99_us(self) -> float:
@@ -455,9 +448,9 @@ class SloController:
     :class:`~repro.net.multicore.RssDispatcher`); ``initial_cores`` of
     them start active, the rest are parked headroom for the
     autoscaler.  :meth:`run` replays a *timestamped* trace through the
-    queueing model (same mechanics as the dispatcher's latency path)
-    and closes a control epoch every ``config.epoch_packets``
-    arrivals.
+    queueing model (the dispatcher's loop, with this controller as its
+    epoch hook) and closes a control epoch every
+    ``config.epoch_packets`` arrivals.
 
     Failures come from an optional :class:`~repro.faults.FaultPlan`
     (``crash_core`` / ``wedge_core``, per-core packet counts), wedge
@@ -524,11 +517,6 @@ class SloController:
             max_backoff_epochs=self.config.max_backoff_epochs,
         )
 
-    def _deadline_for(self, core: int) -> int:
-        if self.detection is not None:
-            return self.detection.deadline_for(core)
-        return self.watchdog_deadline
-
     def _build_session(self, core: int) -> ReplaySession:
         nf = self.nf_factory(core)
         injector = (
@@ -540,329 +528,106 @@ class SloController:
         return ReplaySession(pipeline)
 
     def run(self, trace: Iterable[Packet]) -> SloRun:
-        cfg = self.queueing
+        """Replay ``trace`` on a :class:`~repro.net.dispatch.DispatchLoop`
+        whose epoch hook is this controller's autoscaler and rejoin
+        policy; every run starts from the same control state."""
         conf = self.config
-        n = self.max_cores
-        batch_size = self.batch_size
-        timeout_ns = cfg.batch_timeout_ns
-        wire_ns = cfg.wire_ns
-        warmup = self.warmup
-
-        sessions: List[ReplaySession] = [
-            self._build_session(core) for core in range(n)
-        ]
-        queues = [CoreQueue(cfg, batch_size) for _ in range(n)]
-        active = sorted(range(self.initial_cores))
-        parked = set(range(self.initial_cores, n))
-        self.table.assign(active)
-
-        plan = self.faults
-        crash_at: Dict[int, int] = {}
-        wedge_at: Dict[int, int] = {}
-        if plan is not None:
-            for core in range(n):
-                point = plan.crash_point(core)
-                if point is not None:
-                    crash_at[core] = point
-                point = plan.wedge_point(core)
-                if point is not None:
-                    wedge_at[core] = point
-
-        is_active = [core in active for core in range(n)]
-        wedged = [False] * n
-        fed = [0] * n
-        lost = [0] * n
-        #: Packets served since the core last (re)joined cold.
-        since_join = [0] * n
-        #: Cores that ever ran: a parked-from-birth core joins cold.
-        cold = [True] * n
+        scaler = self.autoscaler
+        scaler.reset()
+        initial = range(self.initial_cores)
+        self.table.assign(initial)
+        parked = set(range(self.initial_cores, self.max_cores))
         rejoin_at: Dict[int, int] = {}
-        failures: List[CoreFailure] = []
-        latencies: List[int] = []
-        epoch_lat: List[int] = []
         timeline: List[EpochStats] = []
-        events: List[str] = []
-        packets_in = 0
-        epoch = 0
-        epoch_start_ns = 0
-        now = 0
-        lost_at_epoch = 0
-        over_at_epoch = 0
+        #: Ledger positions at the last epoch close.
+        seen = {"latencies": 0, "lost": 0, "overflow": 0, "failures": 0}
 
-        def active_list() -> List[int]:
-            return [c for c in range(n) if is_active[c]]
+        def join(loop: DispatchLoop, core: int, reason: str) -> None:
+            parked.discard(core)
+            loop.activate(core)
+            loop.events.append(f"{reason} core={core}")
 
-        def deactivate(core: int) -> None:
-            is_active[core] = False
-            survivors = active_list()
-            if not survivors:
-                raise AllCoresDeadError(
-                    "every core has failed; traffic has nowhere to go"
-                )
-            self.table.repack(survivors)
-            # Frames stranded in the ring re-arrive on the survivors.
-            stranded, _ = queues[core].drain()
-            for pkt in stranded:
-                steer(pkt, now)
-
-        def fail(core: int, kind: str) -> None:
-            record = CoreFailure(
-                core=core, kind=kind, processed=fed[core],
-                lost=lost[core], repacked=True,
-            )
-            failures.append(record)
-            events.append(f"{kind} core={core}")
-            wedged[core] = False
-            deactivate(core)
+        def close_epoch(loop: DispatchLoop, final: bool) -> None:
+            epoch_lat = loop.latencies[seen["latencies"]:]
+            if final and not epoch_lat and not loop.events:
+                return
+            epoch = len(timeline)
             if conf.rejoin_epochs > 0:
-                rejoin_at[core] = epoch + conf.rejoin_epochs
-
-        def join(core: int, reason: str) -> None:
-            """Activate a parked or rejoining core (cold if new/reborn)."""
-            is_active[core] = True
-            if cold[core]:
-                since_join[core] = 0
-            cold[core] = False
-            self.table.repack(active_list())
-            events.append(f"{reason} core={core}")
-
-        def steer(pkt: Packet, at_ns: int) -> None:
-            core = self.table.core_of(pkt.key_int)
-            if not is_active[core]:
-                # Stale bucket (mid-repack window): flow-affine failover.
-                # Wedged-but-undetected cores count as survivors — the
-                # control plane cannot route around a fault it has not
-                # detected yet.
-                survivors = active_list()
-                if not survivors:
-                    raise AllCoresDeadError(
-                        "every core has failed; traffic has nowhere to go"
-                    )
-                core = survivors[
-                    fast_hash32(pkt.key_int, FAILOVER_SEED) % len(survivors)
-                ]
-            if wedged[core]:
-                lost[core] += 1
-                if lost[core] >= self._deadline_for(core):
-                    fail(core, "wedge")
-                return
-            queues[core].offer(pkt, at_ns)
-
-        def do_service(
-            core: int,
-            batch: List[Packet],
-            arrivals: List[int],
-            pickup_ns: int,
-        ) -> None:
-            cycles = sessions[core].pipeline.rt.cycles
-            before = cycles.total
-            sessions[core].feed(batch)
-            fed[core] += len(batch)
-            service_cyc = cycles.total - before
-            if warmup is not None:
-                # Midpoint of the batch approximates the decaying
-                # per-packet cold penalty without per-packet exp calls.
-                m = len(batch)
-                service_cyc += m * warmup.penalty_at(
-                    since_join[core] + m // 2
-                )
-            since_join[core] += len(batch)
-            service_ns = service_cyc * 1_000_000_000 // CPU_HZ
-            for soj in queues[core].complete(
-                arrivals, pickup_ns, service_ns
-            ):
-                latencies.append(soj + wire_ns)
-                epoch_lat.append(soj + wire_ns)
-
-        def feed_measured(
-            core: int,
-            batch: List[Packet],
-            arrivals: List[int],
-            pickup_ns: int,
-        ) -> None:
-            point = crash_at.get(core)
-            if point is not None and fed[core] + len(batch) > point:
-                split = point - fed[core]
-                head, h_arr = batch[:split], arrivals[:split]
-                rest = batch[split:]
-                if head:
-                    do_service(core, head, h_arr, pickup_ns)
-                del crash_at[core]
-                fail(core, "crash")
-                detect_ns = max(now, pickup_ns)
-                for pkt in rest:
-                    steer(pkt, detect_ns)
-                return
-            point = wedge_at.get(core)
-            if point is not None and fed[core] + len(batch) > point:
-                split = point - fed[core]
-                head, h_arr = batch[:split], arrivals[:split]
-                tail = batch[split:]
-                if head:
-                    do_service(core, head, h_arr, pickup_ns)
-                del wedge_at[core]
-                wedged[core] = True
-                leftover, _ = queues[core].drain()
-                lost[core] += len(tail) + len(leftover)
-                if lost[core] >= self._deadline_for(core):
-                    fail(core, "wedge")
-                return
-            do_service(core, batch, arrivals, pickup_ns)
-
-        def flush_due(horizon_ns: Optional[int]) -> None:
-            while True:
-                best = None
-                for c in range(n):
-                    if not is_active[c] or wedged[c]:
-                        continue
-                    q = queues[c]
-                    if not q.pending:
-                        continue
-                    if len(q.pending) >= batch_size:
-                        ready = q.arrivals[batch_size - 1]
-                    else:
-                        ready = q.arrivals[0] + timeout_ns
-                    pickup = max(ready, q.server_free_ns)
-                    if horizon_ns is not None and pickup > horizon_ns:
-                        continue
-                    if best is None or (pickup, c) < best:
-                        best = (pickup, c)
-                if best is None:
-                    return
-                pickup, core = best
-                batch, arrivals = queues[core].take()
-                feed_measured(core, batch, arrivals, pickup)
-
-        def total_overflow() -> int:
-            return overflow_retired[0] + sum(q.overflowed for q in queues)
-
-        def retire(core: int) -> None:
-            """Tear a dead core's session down: per-CPU state is lost."""
-            injector = sessions[core].pipeline.faults
-            if injector is not None:
-                retired_dup[0] += dict(injector.injected).get(PKT_DUP, 0)
-            retired_actions.append(dict(sessions[core].finish().actions))
-            sessions[core] = self._build_session(core)
-            overflow_retired[0] += queues[core].overflowed
-            queues[core] = CoreQueue(cfg, batch_size)
-            cold[core] = True
-
-        def close_epoch() -> None:
-            nonlocal epoch, epoch_start_ns, epoch_lat
-            nonlocal lost_at_epoch, over_at_epoch
-            total_lost = sum(lost)
-            total_over = total_overflow()
+                for record in loop.failures[seen["failures"]:]:
+                    rejoin_at[record.core] = epoch + conf.rejoin_epochs
+            total_lost, total_over = sum(loop.lost), sum(loop.ring_overflow())
+            lat = latency_summary_us(epoch_lat)
             stats = EpochStats(
                 epoch=epoch,
-                start_ns=epoch_start_ns,
-                end_ns=now,
+                start_ns=timeline[-1].end_ns if timeline else 0,
+                end_ns=loop.now,
                 packets=len(epoch_lat),
-                active_cores=active_list(),
-                overflow=total_over - over_at_epoch,
-                lost=total_lost - lost_at_epoch,
-                events=list(events),
+                active_cores=loop.active_cores(),
+                p50_us=lat["p50_us"],
+                p95_us=lat["p95_us"],
+                p99_us=lat["p99_us"],
+                overflow=total_over - seen["overflow"],
+                lost=total_lost - seen["lost"],
+                events=list(loop.events),
             )
-            if epoch_lat:
-                stats.p50_us = round(
-                    percentile(epoch_lat, 50.0) / 1000.0, 3
-                )
-                stats.p95_us = round(
-                    percentile(epoch_lat, 95.0) / 1000.0, 3
-                )
-                stats.p99_us = round(
-                    percentile(epoch_lat, 99.0) / 1000.0, 3
-                )
             timeline.append(stats)
-            events.clear()
-            epoch_lat = []
-            lost_at_epoch = total_lost
-            over_at_epoch = total_over
-            epoch += 1
-            epoch_start_ns = now
-            # Repairs land first: a reborn core (fresh NF + runtime,
-            # cold sketches — the state loss) enters the parked pool.
+            loop.events.clear()
+            seen.update(
+                latencies=len(loop.latencies), lost=total_lost,
+                overflow=total_over, failures=len(loop.failures),
+            )
+            # Repairs due by the epoch starting now land first: a reborn
+            # core (fresh NF + runtime, cold sketches — the state loss)
+            # enters the parked pool.
             for core in sorted(rejoin_at):
-                if rejoin_at[core] <= epoch:
+                if rejoin_at[core] <= len(timeline):
                     del rejoin_at[core]
-                    retire(core)
+                    loop.retire(core)
                     parked.add(core)
-            if conf.autoscale:
-                action = self.autoscaler.decide(
-                    stats.p99_us, len(stats.active_cores)
-                )
-                if action == "up":
-                    candidates = sorted(parked)
-                    if candidates:
-                        core = candidates[0]
-                        parked.discard(core)
-                        join(core, "scale-up")
-                    else:
-                        self.autoscaler.scale_ups -= 1
-                        events.append("scale-up blocked: no spare core")
-                elif action == "down":
-                    victims = active_list()
-                    if len(victims) > conf.min_cores:
-                        core = victims[-1]
-                        events.append(f"scale-down core={core}")
-                        deactivate(core)
-                        parked.add(core)
-            else:
+            if not conf.autoscale:
                 # No autoscaler: a repaired core rejoins the moment it
                 # is back (restore-to-provisioned) — partial recovery
                 # is a property of the fleet, not of the scaler.
                 for core in sorted(parked):
                     if core < self.initial_cores:
-                        parked.discard(core)
-                        join(core, "rejoin")
+                        join(loop, core, "rejoin")
+                return
+            action = scaler.decide(stats.p99_us, stats.n_active)
+            if action == "up" and parked:
+                join(loop, min(parked), "scale-up")
+            elif action == "up":
+                scaler.scale_ups -= 1
+                loop.events.append("scale-up blocked: no spare core")
+            elif action == "down" and stats.n_active > conf.min_cores:
+                core = loop.active_cores()[-1]
+                loop.events.append(f"scale-down core={core}")
+                loop.deactivate(core)
+                parked.add(core)
 
-        retired_actions: List[Dict[str, int]] = []
-        retired_dup = [0]
-        overflow_retired = [0]
-        in_epoch = 0
-        for pkt in trace:
-            packets_in += 1
-            ts = pkt.timestamp_ns
-            if ts > now:
-                now = ts
-            flush_due(now)
-            steer(pkt, now)
-            in_epoch += 1
-            if in_epoch >= conf.epoch_packets:
-                in_epoch = 0
-                flush_due(now)
-                close_epoch()
-        flush_due(None)
-        for core in range(n):
-            if wedged[core] and is_active[core]:
-                fail(core, "wedge")
-        if epoch_lat or events:
-            close_epoch()
-
-        results = [s.finish() for s in sessions]
-        actions: Dict[str, int] = {}
-        for counts in [r.actions for r in results] + retired_actions:
-            for act, count in counts.items():
-                actions[act] = actions.get(act, 0) + count
-        forwarded = sum(actions.get(a, 0) for a in FORWARD_ACTIONS)
-        nf_dropped = actions.get(XdpAction.DROP, 0)
-        aborted = actions.get(XdpAction.ABORTED, 0)
-        duplicated = retired_dup[0]
-        if plan is not None:
-            duplicated += sum(
-                dict(s.pipeline.faults.injected).get(PKT_DUP, 0)
-                for s in sessions
-                if s.pipeline.faults is not None
-            )
+        loop = DispatchLoop(
+            self._build_session,
+            self.table,
+            self.max_cores,
+            self.batch_size,
+            queueing=self.queueing,
+            faults=self.faults,
+            watchdog_deadline=self.watchdog_deadline,
+            detection=self.detection,
+            repack_on_failure=True,
+            warmup=self.warmup,
+            epoch_packets=conf.epoch_packets,
+            epoch_hook=close_epoch,
+            active=initial,
+        )
+        loop.run(trace)
         return SloRun(
             timeline=timeline,
             config=conf,
-            packets_in=packets_in,
-            forwarded=forwarded,
-            nf_dropped=nf_dropped,
-            aborted=aborted,
-            duplicated=duplicated,
-            lost=sum(lost),
-            overflow=total_overflow(),
-            latencies_ns=latencies,
-            failures=failures,
+            packets_in=loop.packets_in,
+            actions=loop.actions,
+            injected=loop.injected,
+            lost=sum(loop.lost),
+            overflow=sum(loop.ring_overflow()),
+            latencies_ns=loop.latencies,
+            failures=loop.failures,
         )
