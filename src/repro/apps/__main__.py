@@ -25,6 +25,7 @@ import time
 
 from ..analysis.hostmeta import host_metadata
 from ..net.flowgen import FlowGenerator
+from ..net.replay import positive_int
 from .ir import (
     IR_APP_NAMES,
     app_nf,
@@ -113,15 +114,15 @@ def main(argv=None) -> int:
         help="execution backend (default: fused)",
     )
     parser.add_argument(
-        "--packets", type=int, default=2500, help="trace length"
+        "--packets", type=positive_int, default=2500, help="trace length"
     )
     parser.add_argument(
-        "--flows", type=int, default=1024, help="Zipf flow population"
+        "--flows", type=positive_int, default=1024, help="Zipf flow population"
     )
     parser.add_argument("--seed", type=int, default=14)
     parser.add_argument(
         "--cores",
-        type=int,
+        type=positive_int,
         default=1,
         help="replay multi-core via RssDispatcher when > 1",
     )

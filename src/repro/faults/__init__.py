@@ -40,7 +40,8 @@ fault kind            real-world counterpart
 ``core_wedge``        wedged core: stops consuming; watchdog deadline
 ====================  =================================================
 
-The chaos-harness CLI lives in ``python -m repro.faults``.
+Chaos runs from the shell go through the data-plane CLI,
+``python -m repro.net.replay --rate ...``.
 """
 
 from __future__ import annotations

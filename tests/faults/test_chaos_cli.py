@@ -1,11 +1,15 @@
-"""Tests for the chaos harness CLI (python -m repro.faults)."""
+"""Tests for the fault-injection side of the data-plane CLI
+(python -m repro.net.replay): injected faults, watchdog events, the
+SLO control loop and the chaos exit contract.  Argument checks on a
+trace file live in tests/net/test_replay_cli.py; the ones here run on
+the synthetic generator."""
 
 import json
 
 import pytest
 
-from repro.faults.__main__ import main
 from repro.net.flowgen import FlowGenerator
+from repro.net.replay import main
 from repro.net.trace import dump_trace
 
 QUICK = ["--packets", "2000", "--cores", "4", "--flows", "128"]
@@ -25,27 +29,32 @@ class TestChaosRuns:
     def test_synthetic_run_accounts_and_exits_zero(self, capsys):
         assert main(QUICK + ["--rate", "0.01", "--expect-faults"]) == 0
         out = capsys.readouterr().out
-        assert "chaos replay: 2000 packets" in out
+        assert "replayed 2000 packets" in out
         assert "accounting: OK" in out
         assert "injected" in out
 
     def test_trace_file_run(self, trace_csv, capsys):
         assert main([trace_csv, "--cores", "4", "--rate", "0.02"]) == 0
         out = capsys.readouterr().out
-        assert "chaos replay: 1500 packets" in out
+        assert "replayed 1500 packets" in out
 
     def test_zero_rate_injects_nothing(self, capsys):
         assert main(QUICK + ["--rate", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "injected" not in out
-        assert "accounting: OK" in out
+        explicit = capsys.readouterr().out
+        assert "injected" not in explicit
+        assert "accounting: OK" in explicit
+        # Plain replay injects nothing: the default rate is 0.
+        assert main(QUICK) == 0
+        assert capsys.readouterr().out == explicit
 
     def test_expect_faults_fails_on_zero_rate(self, capsys):
         assert main(QUICK + ["--rate", "0", "--expect-faults"]) == 1
         assert "expected injected faults" in capsys.readouterr().err
 
     def test_crash_run_reports_watchdog(self, capsys):
-        assert main(QUICK + ["--crash-core", "1", "--crash-at", "100"]) == 0
+        argv = QUICK + ["--rate", "0.01", "--crash-core", "1",
+                        "--crash-at", "100"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "core 1 crash" in out
         assert "re-steered" in out
@@ -53,7 +62,7 @@ class TestChaosRuns:
 
     def test_wedge_run_reports_watchdog(self, capsys):
         argv = QUICK + [
-            "--wedge-core", "0", "--wedge-at", "50",
+            "--rate", "0.01", "--wedge-core", "0", "--wedge-at", "50",
             "--watchdog-deadline", "128",
         ]
         assert main(argv) == 0
@@ -200,3 +209,18 @@ class TestLatencyAndSloFlags:
             main(QUICK + argv)
         assert exc.value.code == 2
         assert hint in capsys.readouterr().err
+
+    def test_slo_verdict_with_faults(self, capsys):
+        """Latency and the --slo-p99 verdict are reported under faults
+        too, not only on a clean replay."""
+        argv = QUICK + ["--rate", "0.01", "--burst", "4e6", "--slo-p99", "30"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "latency us:" in out
+        assert "slo p99<=30.0us:" in out
+        assert main(argv + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["total_injected"] > 0
+        assert report["latency"]["n"] > 0
+        assert report["slo"]["target_p99_us"] == 30.0
+        assert report["slo"]["met"] is (report["slo"]["p99_us"] <= 30.0)

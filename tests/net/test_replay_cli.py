@@ -1,12 +1,21 @@
-"""Tests for the trace-replay CLI (python -m repro.net.replay)."""
+"""Tests for the data-plane CLI (python -m repro.net.replay): trace and
+synthetic replay, steering/NUMA flags, latency/SLO reporting, and the
+argument checks shared by every run shape.  The fault-injection side of
+the same CLI is covered in tests/faults/test_chaos_cli.py."""
 
 import json
 
 import pytest
 
+from repro.ebpf.cost_model import ExecMode
+from repro.ebpf.runtime import BpfRuntime
 from repro.net.flowgen import FlowGenerator
-from repro.net.replay import main, replay
-from repro.net.trace import dump_trace
+from repro.net.multicore import RssDispatcher
+from repro.net.queueing import ArrivalProcess, QueueingConfig
+from repro.net.replay import NF_BUILDERS, main, parse_args, run
+from repro.net.slo import SloConfig, SloController
+from repro.net.trace import dump_trace, load_trace
+from repro.nfs.degrade import ColdStartWarmup
 
 
 @pytest.fixture()
@@ -19,51 +28,55 @@ def trace_csv(tmp_path):
     return str(path)
 
 
-class TestReplayFunction:
-    def test_streamed_equals_materialized(self, trace_csv):
-        a = replay(trace_csv, cores=4, stream=False)
-        b = replay(trace_csv, cores=4, stream=True)
-        assert a.per_core == b.per_core
-        assert a.actions == b.actions
+def _factory(core):
+    return NF_BUILDERS["countmin"](
+        BpfRuntime(mode=ExecMode.ENETSTL, seed=core)
+    )
 
+
+class TestReplayFunction:
     @pytest.mark.parametrize("policy", ["rss", "rekey", "ntuple"])
     def test_policies_accepted(self, trace_csv, policy):
-        result = replay(trace_csv, cores=4, policy=policy, stream=True)
+        result = run(parse_args([trace_csv, "--cores", "4",
+                                 "--policy", policy]))
         assert result.n_packets == 2000
 
     def test_numa_nodes(self, trace_csv):
-        local = replay(trace_csv, cores=4)
-        remote = replay(trace_csv, cores=4, numa_nodes=2)
+        local = run(parse_args([trace_csv, "--cores", "4"]))
+        remote = run(parse_args([trace_csv, "--cores", "4",
+                                 "--numa-nodes", "2"]))
         assert remote.total_cycles == local.total_cycles
         assert remote.total_numa_cycles > 0
 
 
 class TestCli:
     def test_basic_invocation(self, trace_csv, capsys):
-        assert main([trace_csv, "--cores", "4"]) == 0
+        assert main([trace_csv, "--cores", "4", "--policy", "ntuple"]) == 0
         out = capsys.readouterr().out
         assert "replayed 2000 packets on 4 core(s)" in out
-        assert "imbalance" in out
-
-    def test_stream_flag_reports_streaming(self, trace_csv, capsys):
-        assert main([trace_csv, "--stream", "--policy", "ntuple"]) == 0
-        out = capsys.readouterr().out
-        assert "streamed" in out
         assert "policy=ntuple" in out
+        assert "imbalance" in out
+        assert "accounting: OK" in out
 
     def test_stream_and_materialized_print_same_metrics(
         self, trace_csv, capsys
     ):
-        main([trace_csv, "--cores", "4"])
-        materialized = capsys.readouterr().out
-        main([trace_csv, "--cores", "4", "--stream"])
-        streamed = capsys.readouterr().out
-        keep = ("aggregate", "imbalance", "total cycles", "per-core packets")
-        pick = lambda text: [
-            line for line in text.splitlines()
-            if any(k in line for k in keep)
+        """The CLI streams the trace off disk; its report matches a
+        dispatcher fed the fully loaded packet list."""
+        assert main([trace_csv, "--cores", "4", "--json"]) == 0
+        streamed = json.loads(capsys.readouterr().out)
+        materialized = RssDispatcher(_factory, n_cores=4).run(
+            load_trace(trace_csv)
+        )
+        assert streamed["total_cycles"] == materialized.total_cycles
+        assert streamed["actions"] == dict(materialized.actions)
+        assert streamed["per_core_packets"] == [
+            r.n_packets for r in materialized.per_core
         ]
-        assert pick(materialized) == pick(streamed)
+        assert streamed["imbalance"] == round(materialized.imbalance, 3)
+        assert streamed["aggregate_mpps"] == round(
+            materialized.aggregate_mpps, 3
+        )
 
     def test_numa_flag_prints_penalty(self, trace_csv, capsys):
         assert main([trace_csv, "--numa-nodes", "2"]) == 0
@@ -76,7 +89,7 @@ class TestCli:
     def test_malformed_trace_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n")
-        assert main([str(bad), "--stream"]) == 1
+        assert main([str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_policy_rejected_by_argparse(self, trace_csv):
@@ -142,6 +155,26 @@ class TestLatencyFlags:
         assert len(report["timeline"]) >= 1
         assert "recovery_s" in report["slo"]
 
+    def test_autoscale_matches_direct_controller(self, trace_csv, capsys):
+        """``--autoscale`` is the documented full loop: an SloController
+        with cold-start warm-up, whichever conditions are on the line."""
+        assert main(
+            [trace_csv, "--cores", "4", "--initial-cores", "2",
+             "--burst", "9e6", "--slo-p99", "60", "--autoscale", "--json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        direct = SloController(
+            _factory,
+            max_cores=4,
+            initial_cores=2,
+            config=SloConfig(target_p99_us=60.0),
+            queueing=QueueingConfig(),
+            warmup=ColdStartWarmup(),
+        ).run(ArrivalProcess.from_spec("9e6").stamp(load_trace(trace_csv)))
+        assert report["latency"] == direct.latency_summary()
+        assert report["timeline"] == [e.describe() for e in direct.timeline]
+        assert report["slo"]["recovery_s"] == direct.recovery_s()
+
     def test_same_seed_same_json(self, trace_csv, capsys):
         argv = [trace_csv, "--cores", "4", "--burst", "8e6", "--json",
                 "--seed", "3"]
@@ -160,6 +193,17 @@ class TestLatencyFlags:
         (["--burst", "nope"], "burst spec"),
         (["--burst", "1e6:2e6"], "burst spec"),
         (["--burst", "1e6", "--slo-p99", "-5"], "positive"),
+        # Fault flags: the plan and detector are built while checking.
+        (["--cores", "4", "--crash-core", "4"], "nonexistent core"),
+        (["--cores", "4", "--wedge-core", "7"], "nonexistent core"),
+        (["--crash-core", "-1"], "non-negative core index"),
+        (["--crash-core", "1", "--crash-at", "-5"], "crash_at"),
+        (["--wedge-core", "1", "--wedge-at", "-5"], "wedge_at"),
+        (["--crash-core", "2", "--wedge-core", "2"], "both crash and wedge"),
+        (["--crash-at", "100"], "--crash-at needs --crash-core"),
+        (["--wedge-at", "100"], "--wedge-at needs --wedge-core"),
+        (["--detection-mean", "100"], "--detection-mean needs --wedge-core"),
+        (["--wedge-core", "1", "--detection-mean", "10"], "min_packets"),
     ])
     def test_flag_validation_exits_two(self, trace_csv, argv, hint, capsys):
         with pytest.raises(SystemExit) as exc:
