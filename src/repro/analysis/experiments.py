@@ -46,16 +46,10 @@ KERNEL_MODES = (ExecMode.KERNEL, ExecMode.ENETSTL)
 MASK64 = (1 << 64) - 1
 
 
-def _measure(
-    nf,
-    trace: Sequence[Packet],
-    warmup: Optional[Sequence[Packet]] = None,
-    latency: bool = False,
-) -> PipelineResult:
-    pipe = XdpPipeline(nf)
-    if warmup:
-        pipe.run(warmup)
-    return pipe.run(trace, measure_latency=latency)
+def _measure(nf, trace: Sequence[Packet], latency: bool = False) -> PipelineResult:
+    """One cold per-packet replay (warm-up runs use
+    :func:`repro.net.xdp.warm_then_measure`)."""
+    return XdpPipeline(nf).run(trace, measure_latency=latency)
 
 
 def _point(x: float, mode: ExecMode, result: PipelineResult, **extra) -> ModePoint:

@@ -388,8 +388,8 @@ def fuse_chain(
         ns.update(comp.globals)
     ns.update(g)
     if any_writes_ctx:
-        # 256 matches Vm's default ctx size; FusedIrChain builds its
-        # persistent VM with the default.
+        # 256 matches Vm's default ctx size; IrChainNf(backend="fused")
+        # builds its persistent VM with the default.
         ns["_ZCTX"] = bytes(256)
     exec(code, ns)
     return FusedChain(

@@ -90,6 +90,7 @@ from .queueing import QueueingConfig
 from .steering import RSS_HASH_SEED, RssSteering, SteeringPolicy, make_policy
 from .xdp import (
     DEFAULT_BATCH_SIZE,
+    LatencyPercentiles,
     NetworkFunction,
     PipelineResult,
     ReplaySession,
@@ -118,7 +119,7 @@ def shard_trace(
 
 
 @dataclass
-class MulticoreResult(PacketLedger):
+class MulticoreResult(PacketLedger, LatencyPercentiles):
     """System-level aggregate of one multi-queue replay.
 
     ``numa_cycles`` (when a :class:`NumaTopology` was in play) holds
@@ -141,7 +142,8 @@ class MulticoreResult(PacketLedger):
     #: Fleet-wide injected-fault counts by kind (empty: no fault plan).
     injected: Dict[str, int] = field(default_factory=dict)
     #: Per-packet sojourn times (queue wait + deferral + service, plus
-    #: wire) from the queueing model; empty when queueing is off.
+    #: wire) from the queueing model; empty when queueing is off, and
+    #: then every latency percentile is 0.0.
     latencies_ns: List[int] = field(default_factory=list)
     #: Per-core queue-overflow drops (RX ring full; queueing only).
     overflow: List[int] = field(default_factory=list)
@@ -169,28 +171,6 @@ class MulticoreResult(PacketLedger):
     @property
     def n_errors(self) -> int:
         return sum(self.errors.values())
-
-    # -- latency (queueing model) ---------------------------------------
-
-    def latency_percentile_us(self, p: float) -> float:
-        """Sojourn-time percentile in µs (0.0 without the queueing model)."""
-        if not self.latencies_ns:
-            return 0.0
-        from .stats import percentile
-
-        return percentile(self.latencies_ns, p) / 1000.0
-
-    @property
-    def p50_latency_us(self) -> float:
-        return self.latency_percentile_us(50.0)
-
-    @property
-    def p95_latency_us(self) -> float:
-        return self.latency_percentile_us(95.0)
-
-    @property
-    def p99_latency_us(self) -> float:
-        return self.latency_percentile_us(99.0)
 
     @property
     def total_cycles(self) -> int:
@@ -418,7 +398,6 @@ class RssDispatcher:
         self,
         trace: Iterable[Packet],
         batch_size: int = DEFAULT_BATCH_SIZE,
-        use_batch: bool = True,
         advance_clock: bool = True,
     ) -> MulticoreResult:
         """Steer ``trace`` across the queues and replay each on its core.
@@ -436,9 +415,10 @@ class RssDispatcher:
         from the head of the stream to fit the policy, then replayed
         first — no packet is dropped or double-counted.
 
-        ``use_batch`` selects the batched replay path (cycle-identical
-        to per-packet, just faster); disable it for NFs that need
-        per-packet clock advance.
+        Each core replays in batched mode (cycle-identical to
+        per-packet :meth:`XdpPipeline.run`, just faster).  NFs that
+        need per-packet clock advance simply leave out
+        ``process_batch``.
 
         When the fault plan names a ``crash_core``/``wedge_core``, the
         watchdog engages: the victim's traffic is re-steered onto
@@ -450,9 +430,7 @@ class RssDispatcher:
             raise ValueError("batch_size must be positive")
         loop = DispatchLoop(
             lambda core: ReplaySession(
-                self.pipelines[core],
-                advance_clock=advance_clock,
-                use_batch=use_batch,
+                self.pipelines[core], advance_clock=advance_clock
             ),
             self.steering,
             self.n_cores,

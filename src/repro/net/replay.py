@@ -46,7 +46,8 @@ Exit codes:
 - 1 — the data plane crashed, accounting failed, ``--expect-faults``
   was given and nothing was injected, or ``--expect-recovery`` was
   given and the SLO never recovered (CI smoke assertions);
-- 2 — bad command-line arguments.
+- 2 — bad input: command-line arguments, a missing trace file, or a
+  malformed trace (:class:`~repro.net.trace.TraceFormatError`).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .multicore import (
 from .queueing import ArrivalProcess, QueueingConfig
 from .slo import SloConfig, SloController, SloRun
 from .steering import POLICIES
-from .trace import iter_trace
+from .trace import TraceFormatError, iter_trace
 from .xdp import DEFAULT_BATCH_SIZE
 
 
@@ -505,6 +506,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(argv)
     try:
         result = run(args)
+    except (TraceFormatError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

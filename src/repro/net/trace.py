@@ -16,7 +16,7 @@ Two I/O regimes coexist:
   :meth:`RssDispatcher.run` directly — all accept arbitrary iterables.
 
 Both regimes share one row codec, so malformed rows raise the same
-line-numbered :class:`ValueError` either way.
+line-numbered :class:`TraceFormatError` either way.
 """
 
 from __future__ import annotations
@@ -32,21 +32,33 @@ FIELDS = ("src_ip", "dst_ip", "src_port", "dst_port", "proto", "size",
           "timestamp_ns")
 
 
+class TraceFormatError(ValueError):
+    """The input is not a valid trace: a bad header, a wrong field
+    count, a non-integer or out-of-range field, or a negative
+    timestamp.  Row errors carry the line number."""
+
+
 def _parse_row(row: List[str], line_no: int) -> Packet:
     """One CSV row -> :class:`Packet`, with a line-numbered error."""
     if len(row) != len(FIELDS):
-        raise ValueError(f"line {line_no}: expected {len(FIELDS)} fields")
+        raise TraceFormatError(
+            f"line {line_no}: expected {len(FIELDS)} fields"
+        )
     try:
-        values = [int(v) for v in row]
+        pkt = Packet(*[int(v) for v in row])
     except ValueError as exc:
-        raise ValueError(f"line {line_no}: {exc}") from None
-    return Packet(*values)
+        raise TraceFormatError(f"line {line_no}: {exc}") from None
+    if pkt.timestamp_ns < 0:
+        raise TraceFormatError(
+            f"line {line_no}: timestamp_ns must be non-negative"
+        )
+    return pkt
 
 
 def _check_header(reader) -> None:
     header = next(reader, None)
     if header is None or tuple(header) != FIELDS:
-        raise ValueError(
+        raise TraceFormatError(
             f"not a trace file: expected header {','.join(FIELDS)}"
         )
 

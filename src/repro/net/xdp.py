@@ -7,22 +7,25 @@ packets-per-second derived from cycles-per-packet; for latency runs the
 NF forwards packets back and end-to-end latency is wire base plus
 processing time.
 
-Two replay paths exist:
+Three entry points share one replay core, ``XdpPipeline._replay``,
+which screens, charges and processes one batch at a time:
 
-- :meth:`XdpPipeline.run` — per-packet, supports latency measurement
-  and per-packet clock advance (required for time-driven NFs);
-- :meth:`XdpPipeline.run_batch` — batched: framework costs are charged
-  in bulk per batch and NFs that implement ``process_batch`` handle a
-  whole batch in one call.  Cycle-accounting is identical to ``run``
-  by construction (tested); only the Python-side wall-clock cost drops.
+- :meth:`XdpPipeline.run` — per-packet mode: the NF's ``process``
+  sees each packet at its own arrival time (required for time-driven
+  NFs), and latency can be measured;
+- :meth:`XdpPipeline.run_batch` — batched mode: NFs that implement
+  ``process_batch`` handle a whole batch in one call.  Cycle
+  accounting is identical to ``run`` (tested); only the Python-side
+  wall-clock cost drops;
+- :class:`ReplaySession` — the same batched mode, incrementally:
+  ``feed`` batches as they arrive, ``finish`` for the result.  This is
+  how the streaming multi-queue dispatcher drives one pipeline per
+  core off a single shared packet stream.
 
-Both paths consume **arbitrary iterables**: a generator source
-(:meth:`FlowGenerator.iter_trace`, :func:`repro.net.trace.iter_trace`)
-replays with O(batch) peak memory — the full trace is never
-materialized.  :class:`ReplaySession` exposes the same accounting
-incrementally (``feed`` batches as they arrive, ``finish`` for the
-result), which is how the streaming multi-queue dispatcher drives one
-pipeline per core off a single shared packet stream.
+``run`` and ``run_batch`` consume **arbitrary iterables**: a
+generator source (:meth:`FlowGenerator.iter_trace`,
+:func:`repro.net.trace.iter_trace`) replays with O(batch) peak memory
+— the full trace is never materialized.
 
 **Fault containment** mirrors the eBPF runtime's safety guarantee (an
 XDP program cannot crash the kernel): an NF exception on one packet
@@ -31,8 +34,8 @@ per-CPU error counter — the simulated ``xdp_exception`` tracepoint —
 and the replay continues.  Attach a
 :class:`~repro.faults.FaultInjector` to inject packet-level faults
 (drop / corruption / truncation / duplication), helper error returns,
-and map-update failures on a deterministic, seed-driven schedule; both
-replay paths see the identical fault sequence.  Pass
+and map-update failures on a deterministic, seed-driven schedule; every
+entry point sees the identical fault sequence.  Pass
 ``on_error="raise"`` to restore fail-fast propagation for debugging.
 
 Multi-queue (RSS) replay lives in :mod:`repro.net.multicore`.
@@ -95,8 +98,33 @@ class NetworkFunction(Protocol):
         ...
 
 
+class LatencyPercentiles:
+    """Latency percentiles over the host's ``latencies_ns`` list: the
+    one definition :class:`PipelineResult` and
+    :class:`~repro.net.multicore.MulticoreResult` share."""
+
+    def latency_percentile_us(self, p: float) -> float:
+        """Latency percentile in µs (``p`` in [0, 100]; 0.0 when no
+        latencies were recorded)."""
+        if not self.latencies_ns:
+            return 0.0
+        return percentile(self.latencies_ns, p) / 1000.0
+
+    @property
+    def p50_latency_us(self) -> float:
+        return self.latency_percentile_us(50.0)
+
+    @property
+    def p95_latency_us(self) -> float:
+        return self.latency_percentile_us(95.0)
+
+    @property
+    def p99_latency_us(self) -> float:
+        return self.latency_percentile_us(99.0)
+
+
 @dataclass
-class PipelineResult:
+class PipelineResult(LatencyPercentiles):
     """Aggregate measurements from one trace replay.
 
     ``errors`` is the core's per-CPU error counter — one bucket per
@@ -162,24 +190,6 @@ class PipelineResult:
             return 0.0
         return sum(self.latencies_ns) / len(self.latencies_ns) / 1000.0
 
-    def latency_percentile_us(self, p: float) -> float:
-        """End-to-end latency percentile (``p`` in [0, 100])."""
-        if not self.latencies_ns:
-            return 0.0
-        return percentile(self.latencies_ns, p) / 1000.0
-
-    @property
-    def p50_latency_us(self) -> float:
-        return self.latency_percentile_us(50.0)
-
-    @property
-    def p95_latency_us(self) -> float:
-        return self.latency_percentile_us(95.0)
-
-    @property
-    def p99_latency_us(self) -> float:
-        return self.latency_percentile_us(99.0)
-
     def behavior_share(self, *categories: Category) -> float:
         """Share of cycles attributed to the given behaviors (Fig. 1)."""
         if self.total_cycles == 0:
@@ -242,125 +252,87 @@ class XdpPipeline:
         measure_latency: bool = False,
         advance_clock: bool = True,
     ) -> PipelineResult:
-        """Process every packet in ``trace`` and aggregate metrics."""
-        rt = self.rt
-        costs = rt.costs
-        # Hoist everything the per-packet loop touches: attribute and
-        # dict lookups dominate the Python-side cost at trace scale.
-        charge = rt.charge
-        cycles = rt.cycles
-        nf_process = self.nf.process
-        dispatch_cost = costs.xdp_dispatch
-        parse_cost = costs.packet_parse
-        charge_framework = self.charge_framework
-        framework_cat = Category.FRAMEWORK
-        parse_cat = Category.PARSE
-        faults = self.faults
-        contain = self.on_error == "abort"
-        actions: Counter = Counter()
-        errors: Counter = Counter()
-        latencies: List[int] = []
-        start = cycles.checkpoint()
-        n = 0
-        for pkt in trace:
-            ts = pkt.timestamp_ns
-            if advance_clock and ts > rt.now_ns:
-                rt.advance_time_ns(ts - rt.now_ns)
-            copies = 1
-            if faults is not None:
-                pf = faults.packet_fault()
-                helper = faults.helper_fault()
-                if pf == PKT_DROP:
-                    # Lost before the XDP hook (NIC/ring drop): no
-                    # cycles are spent, but the packet is accounted.
-                    actions[XdpAction.DROP] += 1
-                    n += 1
-                    continue
-                if pf in _PARSE_FAULTS or helper:
-                    # Unparseable frame or failed helper: the program
-                    # bails out -> XDP_ABORTED after dispatch + parse.
-                    before = cycles.total
-                    if charge_framework:
-                        charge(dispatch_cost, framework_cat)
-                        charge(parse_cost, parse_cat)
-                    actions[XdpAction.ABORTED] += 1
-                    errors[
-                        PARSE_ERROR if pf in _PARSE_FAULTS else HELPER_ERROR
-                    ] += 1
-                    if measure_latency:
-                        proc_ns = int((cycles.total - before) * 1e9 / CPU_HZ)
-                        latencies.append(2 * BASE_WIRE_LATENCY_NS + proc_ns)
-                    n += 1
-                    continue
-                if pf == PKT_DUP:
-                    copies = 2
-            while copies:
-                copies -= 1
-                before = cycles.total
-                if charge_framework:
-                    charge(dispatch_cost, framework_cat)
-                    charge(parse_cost, parse_cat)
-                try:
-                    action = nf_process(pkt)
-                except Exception as exc:
-                    if not contain:
-                        raise
-                    # Fault containment: one bad packet aborts, the
-                    # replay continues (the eBPF safety guarantee).
-                    action = XdpAction.ABORTED
-                    errors[type(exc).__name__] += 1
-                if action not in _VALID_ACTIONS:
-                    raise ValueError(
-                        f"NF returned invalid XDP action {action!r}"
-                    )
-                actions[action] += 1
-                if measure_latency:
-                    proc_ns = int((cycles.total - before) * 1e9 / CPU_HZ)
-                    # Sender -> NF -> back to sender: two wire crossings.
-                    latencies.append(2 * BASE_WIRE_LATENCY_NS + proc_ns)
-                n += 1
-        delta = cycles.delta_since(start)
-        return PipelineResult(
-            n_packets=n,
-            total_cycles=delta.total,
-            actions=dict(actions),
-            by_category=delta.by_category,
-            latencies_ns=latencies,
-            errors=dict(errors),
-        )
+        """Per-packet replay of every packet in ``trace``.
 
-    def _replay_batch(
+        The NF's ``process`` sees each packet at its own arrival time,
+        even if the NF also implements ``process_batch`` — the mode
+        time-driven NFs and latency experiments need.  With
+        ``measure_latency`` the result carries one end-to-end latency
+        per verdict.  ``trace`` is consumed one batch at a time, so a
+        generator source replays in O(batch) memory.
+        """
+        session = ReplaySession(self, advance_clock)
+        session._per_packet = True
+        if measure_latency:
+            session._latencies = []
+        for batch in iter_batches(trace, DEFAULT_BATCH_SIZE):
+            self._replay(batch, session)
+        return session._result()
+
+    def run_batch(
         self,
-        batch: Sequence[Packet],
-        actions: Counter,
-        errors: Counter,
-        advance_clock: bool,
-        use_batch: bool = True,
-    ) -> int:
-        """Charge and process one batch (the shared batched-replay core).
+        trace: Iterable[Packet],
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        advance_clock: bool = True,
+    ) -> PipelineResult:
+        """Batched replay: same cycle accounting as :meth:`run`, faster.
 
-        Framework costs (XDP dispatch + parse) are charged in bulk —
-        identical in total and category to the per-packet charges
-        :meth:`run` makes.  If ``use_batch`` and the NF implements
-        ``process_batch``, the whole batch is handed over in one call;
-        otherwise ``process`` runs per packet with per-packet clock
-        advance, exactly as :meth:`run`.
+        If the NF implements ``process_batch``, each batch is handed
+        over in one call and the simulated clock advances at batch
+        granularity (such NFs must not read the clock per packet — the
+        sketch/membership/LB NFs qualify); otherwise the NF's
+        ``process`` runs per packet with per-packet clock advance,
+        exactly as :meth:`run`.
+
+        ``trace`` may be any iterable.  Generator sources are consumed
+        one batch at a time, so peak memory is O(``batch_size``), never
+        O(trace) — the streaming replay path.
+
+        Latency measurement needs per-packet cycle deltas; use
+        :meth:`run` for latency experiments.
+        """
+        session = ReplaySession(self, advance_clock)
+        for batch in iter_batches(trace, batch_size):
+            self._replay(batch, session)
+        return session._result()
+
+    def _replay(
+        self, batch: Sequence[Packet], session: "ReplaySession"
+    ) -> None:
+        """Screen, charge and process one batch into ``session``: the
+        one replay core behind :meth:`run`, :meth:`run_batch` and
+        :meth:`ReplaySession.feed`.
 
         With a fault injector attached, the batch is pre-screened with
-        the same per-packet fault draws :meth:`run` makes (so both
-        paths see the identical schedule): dropped packets are verdicts
-        without charges, parse/helper faults abort after dispatch +
-        parse, duplicates replay twice.  An exception from
-        ``process_batch`` aborts the *whole* batch (its charges and
-        partial state mutations stand, as a crashed program's would);
-        the per-packet fallback aborts only the faulting packet.
+        one packet-fault and one helper-fault draw per packet, in
+        arrival order, so every entry point sees the identical
+        schedule: dropped packets are verdicts without charges,
+        parse/helper faults abort after dispatch + parse, duplicates
+        replay twice.  Framework costs (XDP dispatch + parse) are then
+        charged in bulk — identical in total and category to one
+        charge per packet.
 
-        Returns the number of packets accounted (== verdicts added).
+        In batched mode an NF with ``process_batch`` gets the whole
+        batch in one call, the clock advanced once to its latest
+        arrival; an exception aborts the *whole* batch (its charges and
+        partial state mutations stand, as a crashed program's would).
+        Otherwise ``process`` runs per packet at each packet's arrival
+        time and an exception aborts only that packet.  A measured
+        latency is two wire crossings plus the packet's dispatch, parse
+        and NF cycles.
         """
         rt = self.rt
         faults = self.faults
-        contain = self.on_error == "abort"
-        accounted = 0
+        actions = session._actions
+        errors = session._errors
+        latencies = session._latencies
+        advance_clock = session.advance_clock
+        costs = rt.costs
+        fw = 0
+        if self.charge_framework:
+            fw = costs.xdp_dispatch + costs.packet_parse
+        arrived = batch
+        charged = len(batch)
         if faults is not None:
             clean: List[Packet] = []
             n_dropped = 0
@@ -370,6 +342,8 @@ class XdpPipeline:
                 pf = faults.packet_fault()
                 helper = faults.helper_fault()
                 if pf == PKT_DROP:
+                    # Lost before the XDP hook (NIC/ring drop): no
+                    # cycles are spent, but the packet is accounted.
                     n_dropped += 1
                 elif pf in _PARSE_FAULTS:
                     n_parse += 1
@@ -380,6 +354,8 @@ class XdpPipeline:
                     clean.append(pkt)
                 else:
                     clean.append(pkt)
+            # Unparseable frame or failed helper: the program bails out
+            # -> XDP_ABORTED after dispatch + parse.
             bailed = n_parse + n_helper
             if n_dropped:
                 actions[XdpAction.DROP] += n_dropped
@@ -389,22 +365,20 @@ class XdpPipeline:
                     errors[PARSE_ERROR] += n_parse
                 if n_helper:
                     errors[HELPER_ERROR] += n_helper
-                if self.charge_framework:
-                    costs = rt.costs
-                    rt.charge(costs.xdp_dispatch * bailed, Category.FRAMEWORK)
-                    rt.charge(costs.packet_parse * bailed, Category.PARSE)
-            accounted += n_dropped + bailed
+                if latencies is not None:
+                    bail_ns = 2 * BASE_WIRE_LATENCY_NS + int(fw * 1e9 / CPU_HZ)
+                    latencies.extend([bail_ns] * bailed)
+            session._n += n_dropped
             batch = clean
-            if not batch:
-                return accounted
-        m = len(batch)
-        if self.charge_framework:
-            costs = rt.costs
-            rt.charge(costs.xdp_dispatch * m, Category.FRAMEWORK)
-            rt.charge(costs.packet_parse * m, Category.PARSE)
-        process_batch = (
-            getattr(self.nf, "process_batch", None) if use_batch else None
-        )
+            charged = bailed + len(batch)
+        session._n += charged
+        if charged and self.charge_framework:
+            rt.charge(costs.xdp_dispatch * charged, Category.FRAMEWORK)
+            rt.charge(costs.packet_parse * charged, Category.PARSE)
+        contain = self.on_error == "abort"
+        process_batch = None
+        if batch and not session._per_packet:
+            process_batch = getattr(self.nf, "process_batch", None)
         if process_batch is not None:
             if advance_clock:
                 ts = max(pkt.timestamp_ns for pkt in batch)
@@ -415,74 +389,44 @@ class XdpPipeline:
             except Exception as exc:
                 if not contain:
                     raise
-                actions[XdpAction.ABORTED] += m
+                actions[XdpAction.ABORTED] += len(batch)
                 errors[type(exc).__name__] += 1
-                return accounted + m
+                return
             for action, count in verdicts.items():
                 if action not in _VALID_ACTIONS:
                     raise ValueError(
                         f"NF returned invalid XDP action {action!r}"
                     )
                 actions[action] += count
-        else:
-            nf_process = self.nf.process
-            for pkt in batch:
-                ts = pkt.timestamp_ns
-                if advance_clock and ts > rt.now_ns:
-                    rt.advance_time_ns(ts - rt.now_ns)
-                try:
-                    action = nf_process(pkt)
-                except Exception as exc:
-                    if not contain:
-                        raise
-                    action = XdpAction.ABORTED
-                    errors[type(exc).__name__] += 1
-                if action not in _VALID_ACTIONS:
-                    raise ValueError(
-                        f"NF returned invalid XDP action {action!r}"
-                    )
-                actions[action] += 1
-        return accounted + m
-
-    def run_batch(
-        self,
-        trace: Iterable[Packet],
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        advance_clock: bool = True,
-    ) -> PipelineResult:
-        """Batched replay: same cycle accounting as :meth:`run`, faster.
-
-        Framework costs (XDP dispatch + parse) are charged once per
-        batch in bulk.  If the NF implements ``process_batch``, the
-        whole batch is handed over in one call and the simulated clock
-        advances at batch granularity (such NFs must not read the clock
-        per packet — the sketch/membership/LB NFs qualify); otherwise
-        the NF's ``process`` runs per packet with per-packet clock
-        advance, exactly as :meth:`run`.
-
-        ``trace`` may be any iterable.  Generator sources are consumed
-        one batch at a time, so peak memory is O(``batch_size``), never
-        O(trace) — the streaming replay path.
-
-        Latency measurement needs per-packet cycle deltas; use
-        :meth:`run` for latency experiments.
-        """
-        cycles = self.rt.cycles
-        actions: Counter = Counter()
-        errors: Counter = Counter()
-        start = cycles.checkpoint()
-        n = 0
-        for batch in iter_batches(trace, batch_size):
-            n += self._replay_batch(batch, actions, errors, advance_clock)
-        delta = cycles.delta_since(start)
-        return PipelineResult(
-            n_packets=n,
-            total_cycles=delta.total,
-            actions=dict(actions),
-            by_category=delta.by_category,
-            latencies_ns=[],
-            errors=dict(errors),
-        )
+            return
+        cycles = rt.cycles
+        nf_process = self.nf.process
+        for pkt in batch:
+            ts = pkt.timestamp_ns
+            if advance_clock and ts > rt.now_ns:
+                rt.advance_time_ns(ts - rt.now_ns)
+            before = cycles.total
+            try:
+                action = nf_process(pkt)
+            except Exception as exc:
+                if not contain:
+                    raise
+                # Fault containment: one bad packet aborts, the replay
+                # continues (the eBPF safety guarantee).
+                action = XdpAction.ABORTED
+                errors[type(exc).__name__] += 1
+            if action not in _VALID_ACTIONS:
+                raise ValueError(f"NF returned invalid XDP action {action!r}")
+            actions[action] += 1
+            if latencies is not None:
+                # Sender -> NF -> back to sender: two wire crossings.
+                proc_ns = int((fw + cycles.total - before) * 1e9 / CPU_HZ)
+                latencies.append(2 * BASE_WIRE_LATENCY_NS + proc_ns)
+        if advance_clock and session._per_packet and faults is not None:
+            # Packets a fault removed still arrived: the clock reaches them.
+            ts = max(pkt.timestamp_ns for pkt in arrived)
+            if ts > rt.now_ns:
+                rt.advance_time_ns(ts - rt.now_ns)
 
 
 def iter_batches(
@@ -515,24 +459,22 @@ class ReplaySession:
     stream across cores and hands each core its packets as they
     arrive; a session accumulates that core's replay without ever
     seeing the whole trace.  Cycle accounting is identical to
-    :meth:`XdpPipeline.run_batch` (and, with ``use_batch=False``, to
-    :meth:`XdpPipeline.run`) by construction: both call the same
+    :meth:`XdpPipeline.run_batch` by construction: both call the same
     batch-replay core, and the final result is the cycle delta since
     the session opened.
     """
 
     def __init__(
-        self,
-        pipeline: XdpPipeline,
-        advance_clock: bool = True,
-        use_batch: bool = True,
+        self, pipeline: XdpPipeline, advance_clock: bool = True
     ) -> None:
         self.pipeline = pipeline
         self.advance_clock = advance_clock
-        self.use_batch = use_batch
         self._actions: Counter = Counter()
         self._errors: Counter = Counter()
         self._n = 0
+        # Per-packet mode and latency list: set by XdpPipeline.run only.
+        self._per_packet = False
+        self._latencies: Optional[List[int]] = None
         self._start = pipeline.rt.cycles.checkpoint()
         self._finished = False
 
@@ -544,23 +486,22 @@ class ReplaySession:
         """Replay one batch of packets through the core's pipeline."""
         if self._finished:
             raise RuntimeError("session already finished")
-        if not batch:
-            return
-        self._n += self.pipeline._replay_batch(
-            batch, self._actions, self._errors, self.advance_clock,
-            self.use_batch,
-        )
+        if batch:
+            self.pipeline._replay(batch, self)
 
     def finish(self) -> PipelineResult:
         """Close the session and aggregate everything fed so far."""
         self._finished = True
+        return self._result()
+
+    def _result(self) -> PipelineResult:
         delta = self.pipeline.rt.cycles.delta_since(self._start)
         return PipelineResult(
             n_packets=self._n,
             total_cycles=delta.total,
             actions=dict(self._actions),
             by_category=delta.by_category,
-            latencies_ns=[],
+            latencies_ns=self._latencies or [],
             errors=dict(self._errors),
         )
 

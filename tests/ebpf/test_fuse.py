@@ -28,7 +28,7 @@ from repro.ebpf.progs import (
 )
 from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
-from repro.net.irnf import FusedIrChain, IrChainNf
+from repro.net.irnf import IrChainNf
 from repro.net.packet import Packet
 
 from tests.ebpf.test_verifier_differential import _gen_program
@@ -128,7 +128,7 @@ def test_single_packet_process_parity():
 
     rt_f = BpfRuntime()
     reg_f = runnable_registry(0)
-    nf_f = FusedIrChain(rt_f, progs, registry=reg_f)
+    nf_f = IrChainNf(rt_f, progs, registry=reg_f, backend="fused")
     acts_f = [nf_f.process(p) for p in pkts]
 
     assert acts_i == acts_f
@@ -177,7 +177,7 @@ def test_inlining_can_be_disabled():
     interp = _run_chain(progs, pkts, "interp", True)
 
     rt = BpfRuntime()
-    nf = FusedIrChain(rt, progs, registry=registry)
+    nf = IrChainNf(rt, progs, registry=registry, backend="fused")
     nf._fused = fc
     actions = nf.process_batch(pkts)
     assert interp == _observe(nf, rt, registry, tuple(sorted(actions.items())))

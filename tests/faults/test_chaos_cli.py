@@ -98,8 +98,9 @@ class TestChaosRuns:
 
 
 class TestChaosCliErrors:
-    def test_unreadable_trace_exits_one(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nope.csv")]) == 1
+    def test_missing_trace_exits_two(self, tmp_path, capsys):
+        """A missing trace is bad input, not a data-plane failure."""
+        assert main([str(tmp_path / "nope.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_all_cores_dead_is_a_clean_failure(self, capsys):

@@ -2,7 +2,7 @@
 
 PR 5 pinned interp/JIT parity on the clean path only.  These tests pin
 the fused chain backend (``repro.ebpf.fuse`` via
-:class:`repro.net.irnf.FusedIrChain`) against the interpreted chain
+``IrChainNf(..., backend="fused")``) against the interpreted chain
 through the *full* stack — :class:`XdpPipeline`, :class:`ReplaySession`,
 and :class:`RssDispatcher` — including under :mod:`repro.faults` chaos
 schedules: packet corruption/truncation, helper and map errors, core

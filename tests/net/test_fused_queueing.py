@@ -2,7 +2,7 @@
 
 PR 8's contract was "queueing off stays bit-identical"; PR 6's was
 "fused equals interp/JIT bit for bit".  Nothing pinned the *product*:
-a :class:`FusedIrChain` running behind per-core RX rings with batch
+a fused :class:`IrChainNf` running behind per-core RX rings with batch
 coalescing, softirq deferral, and a chaos schedule.  These tests
 assert the fused backend reports identical cycle totals, verdict
 accounting, fault schedules, overflow drops, and sojourn latencies to

@@ -78,15 +78,23 @@ class TestRssDispatcher:
         assert zipf.aggregate_pps == pytest.approx(ideal / zipf.imbalance)
 
     def test_batch_and_per_packet_paths_agree(self):
+        """The batched dispatcher equals per-packet XdpPipeline.run
+        over the same RSS shards (the per-packet oracle)."""
         fg = FlowGenerator(n_flows=256, seed=7)
         trace = fg.trace(4000)
-        batched = RssDispatcher(countmin_factory(), n_cores=4).run(trace)
-        unbatched = RssDispatcher(countmin_factory(), n_cores=4).run(
-            trace, use_batch=False
-        )
-        assert batched.per_core_cycles == unbatched.per_core_cycles
-        assert batched.actions == unbatched.actions
-        assert batched.by_category == unbatched.by_category
+        make = countmin_factory()
+        batched = RssDispatcher(make, n_cores=4).run(trace)
+        per_packet = [
+            XdpPipeline(make(core)).run(shard)
+            for core, shard in enumerate(shard_trace(trace, 4))
+        ]
+        assert batched.per_core_cycles == [r.total_cycles for r in per_packet]
+        assert [r.actions for r in batched.per_core] == [
+            r.actions for r in per_packet
+        ]
+        assert [r.by_category for r in batched.per_core] == [
+            r.by_category for r in per_packet
+        ]
 
     def test_shared_runtime_rejected(self):
         rt = BpfRuntime(mode=ExecMode.ENETSTL)
@@ -127,9 +135,7 @@ class TestRssDispatcher:
                 BpfRuntime(mode=ExecMode.ENETSTL, seed=core),
                 prog, seed=core, backend=backend,
             )
-            results[backend] = RssDispatcher(factory, n_cores=4).run(
-                trace, use_batch=True
-            )
+            results[backend] = RssDispatcher(factory, n_cores=4).run(trace)
         interp, jit = results["interp"], results["jit"]
         assert jit.per_core_cycles == interp.per_core_cycles
         assert jit.actions == interp.actions
@@ -273,7 +279,7 @@ class TestPercpuMerge:
             BpfRuntime(mode=ExecMode.KERNEL, seed=core), depth=4, update_prob=1.0
         )
         disp = RssDispatcher(factory, n_cores=4)
-        disp.run(trace, use_batch=False)
+        disp.run(trace)
         ref = NitroSketchNF(BpfRuntime(mode=ExecMode.KERNEL, seed=0), depth=4, update_prob=1.0)
         XdpPipeline(ref).run(trace)
         # p=1.0 makes NitroSketch deterministic: every row updates on

@@ -14,7 +14,7 @@ from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, QueueingConfig
 from repro.net.replay import NF_BUILDERS, main, parse_args, run
 from repro.net.slo import SloConfig, SloController
-from repro.net.trace import dump_trace, load_trace
+from repro.net.trace import dump_trace, dumps_trace, load_trace
 from repro.nfs.degrade import ColdStartWarmup
 
 
@@ -83,14 +83,34 @@ class TestCli:
         assert "numa cycles" in capsys.readouterr().out
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nope.csv")]) == 1
+        assert main([str(tmp_path / "nope.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_trace_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n")
-        assert main([str(bad)]) == 1
+        assert main([str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_row, match",
+        [
+            ("1,2,3,4,17,64", "line 3: expected 7 fields"),
+            ("1,2,3,4,17,64,x", "line 3"),
+            ("1,2,3,4,17,64,-5", "line 3: timestamp_ns must be non-negative"),
+        ],
+    )
+    def test_bad_trace_row_exits_two(self, tmp_path, capsys, bad_row, match):
+        """A bad row is bad input (exit 2), not a data-plane crash (1),
+        even after good rows have streamed into the dispatcher."""
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            dumps_trace(FlowGenerator(4, seed=1).trace(1)) + bad_row + "\n"
+        )
+        assert main([str(path), "--cores", "2"]) == 2
+        err = capsys.readouterr().err
+        assert match in err
+        assert "crashed" not in err
 
     def test_unknown_policy_rejected_by_argparse(self, trace_csv):
         with pytest.raises(SystemExit):

@@ -11,7 +11,7 @@ from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
 from repro.net.xdp import ReplaySession, XdpPipeline, iter_batches
 from repro.net.packet import XdpAction
-from repro.nfs import BloomFilterNF, CountMinNF
+from repro.nfs import CountMinNF
 
 
 def countmin_factory(core):
@@ -212,19 +212,3 @@ class TestReplaySession:
         result = session.finish()
         assert result.n_packets == 0
         assert result.total_cycles == 0
-
-    def test_per_packet_mode_matches_run(self):
-        """use_batch=False streams through process(), matching run()."""
-        trace = FlowGenerator(n_flows=64, seed=1).trace(500)
-        ref = XdpPipeline(
-            BloomFilterNF(BpfRuntime(mode=ExecMode.ENETSTL, seed=0))
-        ).run(trace)
-        session = ReplaySession(
-            XdpPipeline(BloomFilterNF(BpfRuntime(mode=ExecMode.ENETSTL, seed=0))),
-            use_batch=False,
-        )
-        for batch in iter_batches(iter(trace), 128):
-            session.feed(batch)
-        got = session.finish()
-        assert got.total_cycles == ref.total_cycles
-        assert got.actions == ref.actions

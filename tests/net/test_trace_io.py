@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.net.flowgen import FlowGenerator
 from repro.net.packet import Packet
 from repro.net.trace import (
+    TraceFormatError,
     dump_trace,
     dumps_trace,
     iter_trace,
@@ -95,22 +96,22 @@ class TestStreamingIO:
 
 class TestValidation:
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="not a trace file"):
+        with pytest.raises(TraceFormatError, match="not a trace file"):
             loads_trace("a,b,c\n1,2,3\n")
 
     def test_bad_field_count_rejected(self):
         text = dumps_trace(FlowGenerator(2, seed=1).trace(1))
-        with pytest.raises(ValueError, match="expected 7 fields"):
+        with pytest.raises(TraceFormatError, match="expected 7 fields"):
             loads_trace(text + "1,2,3\n")
 
     def test_non_integer_rejected(self):
         text = dumps_trace([]) + "a,b,c,d,e,f,g\n"
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(TraceFormatError, match="line 2"):
             loads_trace(text)
 
     def test_invalid_packet_values_propagate(self):
         text = dumps_trace([]) + "99999999999,0,0,0,17,64,0\n"
-        with pytest.raises(ValueError):
+        with pytest.raises(TraceFormatError, match="line 2: IPv4"):
             loads_trace(text)
 
     @pytest.mark.parametrize(
@@ -118,6 +119,7 @@ class TestValidation:
         [
             ("1,2,3", "line 3: expected 7 fields"),
             ("a,b,c,d,e,f,g", "line 3"),
+            ("1,2,3,4,17,64,-5", "line 3: timestamp_ns must be non-negative"),
         ],
     )
     def test_streaming_reader_raises_same_line_numbered_errors(
@@ -127,9 +129,9 @@ class TestValidation:
         text = dumps_trace(FlowGenerator(2, seed=1).trace(1)) + bad_row + "\n"
         it = iter_trace_str(text)
         next(it)  # the good row streams out fine
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(TraceFormatError, match=match):
             next(it)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(TraceFormatError, match=match):
             loads_trace(text)
 
     def test_streaming_reader_rejects_bad_header_eagerly(self):
