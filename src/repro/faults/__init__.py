@@ -16,13 +16,16 @@ Two pieces:
   (E2BIG / ENOMEM), plus optional core-level faults (crash or wedge one
   core at a packet index).  Plans are frozen and hashable; the same
   plan always yields the same faults, bit for bit.
-- :class:`FaultInjector` — one plan instantiated for one core: the data
-  plane asks it per event ("does this packet fault?", "does this map
-  update fail?") and it answers from a counter-indexed hash of the
-  seed, so the schedule is independent of *when* the questions are
-  asked and reproducible across runs, cores, and replay paths
-  (per-packet :meth:`~repro.net.xdp.XdpPipeline.run` and batched
-  :meth:`~repro.net.xdp.XdpPipeline.run_batch` see identical faults).
+- :class:`FaultInjector` — one plan instantiated for one core.  The
+  data plane screens each batch with one call ("which of these next
+  ``n`` packets fault?", :meth:`FaultInjector.screen`) and asks per
+  event only where events are sparse ("does this map update fail?").
+  Every answer comes from a counter-indexed hash of the seed, so the
+  schedule is independent of *when* and *in what grouping* the
+  questions are asked, and reproducible across runs, cores, and
+  replay paths (per-packet :meth:`~repro.net.xdp.XdpPipeline.run` and
+  batched :meth:`~repro.net.xdp.XdpPipeline.run_batch` see identical
+  faults).
 
 How injected faults map to the real system:
 
@@ -49,9 +52,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..core.algorithms.hashing import fast_hash32
+from ..core.algorithms.hashing import M32, M64, fast_hash32
 
 # -- fault kinds ------------------------------------------------------------
 
@@ -88,17 +91,6 @@ class HelperFaultError(RuntimeError):
     """An injected helper error return (``-EINVAL`` / NULL lookup)."""
 
     errno = -22
-
-
-def _chance(seed: int, salt: int, index: int) -> float:
-    """Deterministic uniform draw in [0, 1) for event ``index``.
-
-    Indexed hashing (not a stateful PRNG) makes the schedule a pure
-    function of ``(seed, kind, index)``: the n-th packet faults the
-    same way no matter which core asks first or how events interleave
-    with other fault kinds.
-    """
-    return fast_hash32((index << 7) ^ salt, seed) / 4294967296.0
 
 
 @dataclass(frozen=True)
@@ -226,13 +218,8 @@ class FaultPlan:
         A pure function of the plan — used by determinism tests and for
         reasoning about a replay without running it.
         """
-        rate = self.rates()[kind]
-        if rate <= 0.0:
-            return []
-        seed = _core_seed(self.seed, core)
-        salt = _KIND_SALT[kind]
-        return [i for i in range(n_events)
-                if _chance(seed, salt, i) < rate]
+        injector = FaultInjector(self, core)
+        return [i for i in range(n_events) if injector._fires(kind)]
 
     def describe(self) -> Dict[str, object]:
         """Plan as a plain dict (benchmark / CLI metadata)."""
@@ -252,28 +239,73 @@ class FaultInjector:
     Stateful only in its per-kind event counters; every answer is the
     deterministic ``(seed, kind, index)`` hash, so identical plans
     produce identical fault sequences.  The data plane attaches one
-    injector per core: :class:`~repro.net.xdp.XdpPipeline` consults
-    :meth:`packet_fault` per packet, and the simulated BPF maps consult
-    :meth:`map_update_fault` per update through ``rt.faults``.
+    injector per core: :class:`~repro.net.xdp.XdpPipeline` draws each
+    batch's packet and helper decisions with one :meth:`screen` call,
+    and the simulated BPF maps consult :meth:`map_update_fault` per
+    update through ``rt.faults``.  ``screen(n)`` is ``n`` rounds of
+    :meth:`packet_fault` + :meth:`helper_fault`, and every decision is
+    one :meth:`_fires` call, so hooks on the per-event methods see
+    every draw.
     """
 
     def __init__(self, plan: FaultPlan, core: int = 0) -> None:
         self.plan = plan
         self.core = core
         self._seed = _core_seed(plan.seed, core)
-        self._rates = plan.rates()
-        self._index: Dict[str, int] = {kind: 0 for kind in RATE_KINDS}
+        self._base = (self._seed + 1) * 0x9E3779B97F4A7C15
+        rates = plan.rates()
+        #: kind -> [events drawn, rate * 2**32, salt]
+        self._streams: Dict[str, list] = {
+            kind: [0, rates[kind] * 4294967296.0, _KIND_SALT[kind]]
+            for kind in RATE_KINDS
+        }
         #: Injected-fault counts by kind (the chaos report's ledger).
         self.injected: Counter = Counter()
 
     def _fires(self, kind: str) -> bool:
-        """Advance ``kind``'s event counter and decide this event."""
-        rate = self._rates[kind]
-        idx = self._index[kind]
-        self._index[kind] = idx + 1
-        if rate <= 0.0:
+        """Advance ``kind``'s event counter and decide this event: the
+        one fault-decision primitive.
+
+        Event ``index`` fires when ``fast_hash32((index << 7) ^ salt,
+        seed)``, read as a uniform draw in [0, 1), falls below the
+        kind's rate.  Indexed hashing (not a stateful PRNG) makes the
+        schedule a pure function of ``(seed, kind, index)``: the n-th
+        packet faults the same way no matter which core asks first, how
+        events interleave with other fault kinds, or how the events are
+        grouped into :meth:`screen` calls.  The splitmix64 rounds of
+        :func:`~repro.core.algorithms.hashing.fast_hash64` are inlined
+        and the draw is compared as an integer against ``rate * 2**32``
+        (both scalings are exact), so a draw costs one call.
+        """
+        stream = self._streams[kind]
+        idx, threshold, salt = stream
+        stream[0] = idx + 1
+        if threshold <= 0.0:
             return False
-        return _chance(self._seed, _KIND_SALT[kind], idx) < rate
+        x = (((idx << 7) ^ salt) + self._base) & M64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & M64
+        # The low 32 bits read below depend only on the low 63 bits of
+        # this product, so it is left unmasked.
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+        return ((x ^ (x >> 31)) & M32) < threshold
+
+    def screen(self, n: int) -> List[Tuple[int, Optional[str], bool]]:
+        """Draw the next ``n`` packets' packet and helper faults at once.
+
+        Returns ``(offset, packet_fault, helper_fault)`` for each packet
+        that drew either, in packet order; the packets not listed are
+        clean.  It is ``n`` rounds of :meth:`packet_fault` +
+        :meth:`helper_fault`, so decisions, counters and
+        :attr:`injected` end exactly as those rounds leave them.
+        """
+        packet_fault, helper_fault = self.packet_fault, self.helper_fault
+        hits = []
+        for i in range(n):
+            kind = packet_fault()
+            helper = helper_fault()
+            if helper or kind is not None:
+                hits.append((i, kind, helper))
+        return hits
 
     def packet_fault(self) -> Optional[str]:
         """The fault afflicting the next packet, if any.
@@ -332,7 +364,7 @@ class FaultInjector:
         return {
             "core": self.core,
             "injected": dict(self.injected),
-            "events_seen": dict(self._index),
+            "events_seen": {kind: s[0] for kind, s in self._streams.items()},
         }
 
 

@@ -12,7 +12,10 @@ loses or re-steers packets around a failed core.
   a timed :class:`~repro.net.queueing.CoreQueue`: the earliest
   ``pickup_ns()`` across cores is served first, service time is the
   measured cycles plus one per-packet adder (NUMA + cold-start
-  warm-up), and a wedged core loses frames one by one.
+  warm-up), and a wedged core loses frames one by one.  The rings are
+  scanned (``flush_due``) only when the clock reaches ``due``, a lower
+  bound on the earliest pending pickup, and at epoch boundaries and
+  end of stream — not on every arrival.
 - **Failure model.**  Crash/wedge points from the ``FaultPlan``,
   per-core wedge deadlines, and an optional repack of the steering
   policy on failure.  A crash splits the batch in service; the tail,
@@ -24,6 +27,7 @@ loses or re-steers packets around a failed core.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional
@@ -313,6 +317,11 @@ class DispatchLoop:
         timed = self.queueing is not None
         wire_ns = self.queueing.wire_ns if timed else 0
         now = 0
+        # Lower bound on the earliest pickup over non-empty timed rings:
+        # the clock reaching it is the only time a flush can serve.  Only
+        # an offer lowers a pickup, and every offer (epoch-hook re-steers
+        # included) goes through ``enqueue_timed``, which lowers ``due``.
+        due = 0
 
         def failover(queue: int, pkt: Packet) -> int:
             for record in failures:
@@ -345,13 +354,18 @@ class DispatchLoop:
                 serve(queue, *ring.take(), at_ns)
 
         def enqueue_timed(pkt: Packet, at_ns: int) -> None:
+            nonlocal due
             queue = queue_of(pkt)
             if not active[queue]:
                 queue = failover(queue, pkt)
             if wedged[queue]:
                 lose(queue, 1)
-            else:
-                rings[queue].offer(pkt, at_ns)
+                return
+            ring = rings[queue]
+            if ring.offer(pkt, at_ns):
+                pickup = ring.pickup_ns()
+                if pickup < due:
+                    due = pickup
 
         def feed_buffered(core, batch, arrivals, pickup_ns) -> None:
             sessions[core].feed(batch)
@@ -412,19 +426,25 @@ class DispatchLoop:
 
         def flush_due(horizon_ns: Optional[int]) -> None:
             """Serve every batch picked up by ``horizon_ns`` (None: all),
-            earliest pickup first, ties to the lowest core."""
+            earliest pickup first, ties to the lowest core; then set
+            ``due`` to the earliest pickup left unserved."""
+            nonlocal due
             while True:
                 best = None
+                later = math.inf
                 for core in range(n):
                     ring = rings[core]
                     if not ring.pending:
                         continue
                     pickup = ring.pickup_ns()
                     if horizon_ns is not None and pickup > horizon_ns:
+                        if pickup < later:
+                            later = pickup
                         continue
                     if best is None or (pickup, core) < best:
                         best = (pickup, core)
                 if best is None:
+                    due = later
                     return
                 pickup, core = best
                 serve(core, *rings[core].take(), pickup)
@@ -437,7 +457,8 @@ class DispatchLoop:
                 ts = pkt.timestamp_ns
                 if ts > now:
                     now = ts
-                flush_due(now)
+                if now >= due:
+                    flush_due(now)
             enqueue(pkt, now)
             if hook is not None:
                 in_epoch += 1

@@ -66,6 +66,15 @@ def _uniform(seed: int, index: int) -> float:
     return (h + 0.5) / 4294967296.0
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    """Reject a rate or duration that is not a positive finite number
+    (NaN and infinity would stall or collapse the arrival clock)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"{name} must be a positive finite number, got {value}"
+        )
+
+
 @dataclass(frozen=True)
 class BurstPhase:
     """One constant-rate segment of an arrival process."""
@@ -74,10 +83,8 @@ class BurstPhase:
     pps: float
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.pps <= 0:
-            raise ValueError(f"pps must be positive, got {self.pps}")
+        _require_positive_finite("duration_s", self.duration_s)
+        _require_positive_finite("pps", self.pps)
 
 
 class ArrivalProcess:
@@ -100,8 +107,7 @@ class ArrivalProcess:
         seed: int = 0,
         start_ns: int = 0,
     ) -> None:
-        if base_pps <= 0:
-            raise ValueError(f"base_pps must be positive, got {base_pps}")
+        _require_positive_finite("base_pps", base_pps)
         if start_ns < 0:
             raise ValueError("start_ns must be non-negative")
         self.base_pps = base_pps
@@ -125,8 +131,7 @@ class ArrivalProcess:
         ``lead_s`` of ``base_pps``, ``burst_s`` of ``peak_pps``, and
         ``base_pps`` forever after — the canonical SLO stress shape.
         """
-        if peak_pps <= 0:
-            raise ValueError(f"peak_pps must be positive, got {peak_pps}")
+        _require_positive_finite("peak_pps", peak_pps)
         return cls(
             base_pps,
             phases=(BurstPhase(lead_s, base_pps), BurstPhase(burst_s, peak_pps)),

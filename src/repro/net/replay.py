@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Union
 
@@ -128,14 +129,14 @@ def positive_int(value: str) -> int:
 
 
 def positive_float(value: str) -> float:
-    """argparse type: a strictly positive float, clearly rejected."""
+    """argparse type: a strictly positive finite float, clearly rejected."""
     try:
         parsed = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not a number")
-    if parsed <= 0:
+    if not (math.isfinite(parsed) and parsed > 0):
         raise argparse.ArgumentTypeError(
-            f"must be a positive number, got {value}"
+            f"must be a positive finite number, got {value}"
         )
     return parsed
 

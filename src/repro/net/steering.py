@@ -313,12 +313,11 @@ class NtupleSteering(RssSteering):
         return True
 
     def queue_of(self, packet: Packet) -> int:
-        queue = self.pinned.get(packet.key_int)
+        key = packet.key_int
+        queue = self.pinned.get(key)
         if queue is not None:
             return queue
-        return self.table[
-            fast_hash32(packet.key_int, self.hash_seed) % self.table_size
-        ]
+        return self.table[fast_hash32(key, self.hash_seed) % self.table_size]
 
     def describe(self) -> Dict[str, object]:
         info = super().describe()

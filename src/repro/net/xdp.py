@@ -219,13 +219,14 @@ class XdpPipeline:
     """Replay traces through one NF on one simulated core.
 
     ``faults`` attaches a :class:`~repro.faults.FaultInjector`: the
-    pipeline consults it per packet (drop / parse faults / duplication
-    / helper errors) and also installs it on the NF's runtime so map
-    updates fail on the same schedule.  ``on_error`` selects what an NF
-    exception does: ``"abort"`` (default) converts it to an
-    ``XDP_ABORTED`` verdict plus an error-counter entry — the replay
-    survives, as a real XDP program would — while ``"raise"``
-    propagates it (fail-fast debugging).
+    pipeline screens each batch with it (drop / parse faults /
+    duplication / helper errors, one draw call per batch) and also
+    installs it on the NF's runtime so map updates fail on the same
+    schedule.  ``on_error`` selects what an NF exception does:
+    ``"abort"`` (default) converts it to an ``XDP_ABORTED`` verdict
+    plus an error-counter entry — the replay survives, as a real XDP
+    program would — while ``"raise"`` propagates it (fail-fast
+    debugging).
     """
 
     def __init__(
@@ -303,14 +304,15 @@ class XdpPipeline:
         one replay core behind :meth:`run`, :meth:`run_batch` and
         :meth:`ReplaySession.feed`.
 
-        With a fault injector attached, the batch is pre-screened with
-        one packet-fault and one helper-fault draw per packet, in
+        With a fault injector attached, the batch is pre-screened by
+        one :meth:`~repro.faults.FaultInjector.screen` call, which
+        draws every packet's packet-fault and helper-fault decision in
         arrival order, so every entry point sees the identical
-        schedule: dropped packets are verdicts without charges,
-        parse/helper faults abort after dispatch + parse, duplicates
-        replay twice.  Framework costs (XDP dispatch + parse) are then
-        charged in bulk — identical in total and category to one
-        charge per packet.
+        schedule; only the packets that drew a fault are visited:
+        dropped packets are verdicts without charges, parse/helper
+        faults abort after dispatch + parse, duplicates replay twice.
+        Framework costs (XDP dispatch + parse) are then charged in bulk
+        — identical in total and category to one charge per packet.
 
         In batched mode an NF with ``process_batch`` gets the whole
         batch in one call, the clock advanced once to its latest
@@ -333,14 +335,16 @@ class XdpPipeline:
             fw = costs.xdp_dispatch + costs.packet_parse
         arrived = batch
         charged = len(batch)
-        if faults is not None:
+        hits = faults.screen(len(batch)) if faults is not None else ()
+        if hits:
             clean: List[Packet] = []
             n_dropped = 0
             n_parse = 0
             n_helper = 0
-            for pkt in batch:
-                pf = faults.packet_fault()
-                helper = faults.helper_fault()
+            start = 0
+            for i, pf, helper in hits:
+                clean.extend(batch[start:i])
+                start = i + 1
                 if pf == PKT_DROP:
                     # Lost before the XDP hook (NIC/ring drop): no
                     # cycles are spent, but the packet is accounted.
@@ -350,10 +354,9 @@ class XdpPipeline:
                 elif helper:
                     n_helper += 1
                 elif pf == PKT_DUP:
-                    clean.append(pkt)
-                    clean.append(pkt)
-                else:
-                    clean.append(pkt)
+                    clean.append(batch[i])
+                    clean.append(batch[i])
+            clean.extend(batch[start:])
             # Unparseable frame or failed helper: the program bails out
             # -> XDP_ABORTED after dispatch + parse.
             bailed = n_parse + n_helper

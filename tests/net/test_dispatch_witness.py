@@ -19,10 +19,12 @@ from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime
 from repro.faults import FaultPlan, WedgeDetection
 from repro.net.flowgen import FlowGenerator
+from repro.net.dispatch import DispatchLoop
 from repro.net.multicore import RssDispatcher
-from repro.net.queueing import ArrivalProcess, QueueingConfig
+from repro.net.queueing import ArrivalProcess, CoreQueue, QueueingConfig
 from repro.net.slo import SloConfig, SloController
-from repro.net.xdp import DEFAULT_BATCH_SIZE
+from repro.net.steering import make_policy
+from repro.net.xdp import DEFAULT_BATCH_SIZE, ReplaySession, XdpPipeline
 from repro.nfs import CountMinNF
 from repro.nfs.degrade import ColdStartWarmup
 
@@ -222,3 +224,216 @@ def test_controller_witness(autoscale):
         [ctl.autoscaler.scale_ups, ctl.autoscaler.scale_downs],
     )
     assert witness == SLO_EXPECTED[autoscale]
+
+
+# -- pickup-order edge cases -------------------------------------------------
+#
+# The loop serves a ring only once the clock reaches its pickup time.
+# These cases pin the corners of that rule: a zero coalescing timeout,
+# rings too small to ever fill a batch, a server still busy when its
+# next batch is ready, a crash tail re-arriving on an idle ring, a
+# scale-down that re-steers a non-empty ring, and an epoch hook whose
+# re-steer pulls the earliest pickup forward.
+
+_TRACES = {}
+
+
+def trace_at(pps):
+    if pps not in _TRACES:
+        fg = FlowGenerator(n_flows=256, seed=11, distribution="zipf")
+        arrivals = ArrivalProcess(pps, seed=11)
+        _TRACES[pps] = list(fg.iter_trace_bursty(N_PACKETS, arrivals))
+    return _TRACES[pps]
+
+
+def queued(queueing, faults, batch_size=DEFAULT_BATCH_SIZE, pps=2e7):
+    return RssDispatcher(
+        countmin_factory,
+        n_cores=4,
+        steering="rss",
+        faults=FaultPlan(**RATES, **faults),
+        queueing=queueing,
+    ).run(trace_at(pps), batch_size=batch_size)
+
+
+@pytest.fixture
+def pickups(monkeypatch):
+    """Record, per pickup query, whether the busy server (not the
+    batch's readiness) set the pickup time."""
+    seen = []
+    original = CoreQueue.pickup_ns
+
+    def spy(ring):
+        arrivals, n = ring.arrivals, ring.batch_size
+        ready = (
+            arrivals[n - 1] if len(arrivals) >= n
+            else arrivals[0] + ring.cfg.batch_timeout_ns
+        )
+        seen.append(ring.server_free_ns > ready)
+        return original(ring)
+
+    monkeypatch.setattr(CoreQueue, "pickup_ns", spy)
+    return seen
+
+
+@pytest.fixture
+def offers(monkeypatch):
+    """Record (ring was empty, offered late) per admitted-or-not frame;
+    a late offer (after the frame's own arrival) is a re-steered one."""
+    seen = []
+    original = CoreQueue.offer
+
+    def spy(ring, pkt, now_ns):
+        seen.append((not ring.pending, now_ns > pkt.timestamp_ns))
+        return original(ring, pkt, now_ns)
+
+    monkeypatch.setattr(CoreQueue, "offer", spy)
+    return seen
+
+
+EDGE_EXPECTED = {
+    "zero_timeout": '10136f8cf6ea3318',
+    "ring_below_batch": 'cb6c9f7e67edada0',
+    "server_busy": 'be83b5dd9330e022',
+    "crash_tail_idle_ring": '210198a3ae0427b0',
+}
+
+
+def test_edge_zero_timeout():
+    result = queued(
+        QueueingConfig(rx_ring_size=64, batch_timeout_ns=0),
+        dict(crash_core=1, crash_at=150),
+        batch_size=32,
+    )
+    assert result.is_fully_accounted
+    assert dispatcher_digest(result) == EDGE_EXPECTED["zero_timeout"]
+
+
+def test_edge_ring_smaller_than_batch():
+    result = queued(
+        QueueingConfig(rx_ring_size=16), dict(wedge_core=2, wedge_at=200),
+        batch_size=32,
+    )
+    assert result.is_fully_accounted
+    assert sum(result.overflow) > 0
+    assert dispatcher_digest(result) == EDGE_EXPECTED["ring_below_batch"]
+
+
+def test_edge_server_busy_pickup(pickups):
+    result = queued(
+        QueueingConfig(rx_ring_size=512, softirq_delay_ns=20_000), {},
+        batch_size=4, pps=5e7,
+    )
+    assert result.is_fully_accounted
+    assert sum(pickups) > len(pickups) // 4, (
+        "pickups must often wait for the busy server"
+    )
+    assert dispatcher_digest(result) == EDGE_EXPECTED["server_busy"]
+
+
+def test_edge_crash_tail_on_idle_ring(offers):
+    result = queued(
+        QueueingConfig(), dict(crash_core=1, crash_at=150), pps=2e5,
+    )
+    assert result.is_fully_accounted
+    assert result.failures[0].resteered > 0
+    assert any(empty for empty, late in offers if late), (
+        "the crash tail must re-arrive on an idle ring"
+    )
+    assert dispatcher_digest(result) == EDGE_EXPECTED["crash_tail_idle_ring"]
+
+
+SCALE_DOWN_EXPECTED = '4b59fb741e5c46d4'
+
+
+def test_edge_scale_down_drains_ring(monkeypatch):
+    stranded = []
+    original = DispatchLoop.deactivate
+
+    def spy(loop, core):
+        stranded.append(len(loop.rings[core]))
+        original(loop, core)
+
+    monkeypatch.setattr(DispatchLoop, "deactivate", spy)
+    built = {}
+    ctl = SloController(
+        lambda core: built.setdefault(core, countmin_factory(core)),
+        max_cores=4,
+        batch_size=32,
+        queueing=QueueingConfig(rx_ring_size=128),
+        config=SloConfig(
+            target_p99_us=500.0, epoch_packets=200, cooldown_epochs=0,
+        ),
+        faults=FaultPlan(**RATES),
+    )
+    run = ctl.run(trace())
+    assert run.is_fully_accounted
+    assert any(stranded), "a scale-down must re-steer a non-empty ring"
+    witness = digest(
+        [e.describe() for e in run.timeline],
+        run.accounting(),
+        run.latencies_ns,
+        sorted((core, nf.rt.cycles.total) for core, nf in built.items()),
+    )
+    assert witness == SCALE_DOWN_EXPECTED
+
+
+HOOK_RESTEER_EXPECTED = 'e63b76f8a2a8ebc1'
+
+
+def test_edge_hook_resteer_pulls_pickup_forward():
+    """The epoch hook parks the busy core holding the most frames (and
+    brings it back next epoch); its frames re-arrive on rings whose
+    servers are free, so the earliest pickup moves earlier."""
+    plan = FaultPlan(**RATES)
+    pulled = []
+
+    def earliest(loop):
+        return min(
+            (ring.pickup_ns() for ring in loop.rings if ring.pending),
+            default=None,
+        )
+
+    def hook(loop, final):
+        parked = [c for c in range(loop.n_cores) if not loop.active[c]]
+        if parked:
+            loop.activate(parked[0])
+            return
+        busy = [
+            c for c in loop.active_cores()
+            if loop.rings[c].pending
+            and loop.rings[c].server_free_ns > loop.now
+        ]
+        if busy:
+            before = earliest(loop)
+            loop.deactivate(
+                max(busy, key=lambda c: (len(loop.rings[c].pending), c))
+            )
+            after = earliest(loop)
+            pulled.append(after is not None and after < before)
+
+    loop = DispatchLoop(
+        lambda core: ReplaySession(
+            XdpPipeline(countmin_factory(core), faults=plan.injector(core))
+        ),
+        make_policy("rss", 4),
+        4,
+        32,
+        queueing=QueueingConfig(rx_ring_size=256),
+        faults=plan,
+        epoch_packets=100,
+        epoch_hook=hook,
+    )
+    per_core = loop.run(trace())
+    assert sum(pulled) > len(pulled) // 2, (
+        "re-steered frames must often set the earliest pickup"
+    )
+    witness = digest(
+        [r.total_cycles for r in per_core],
+        sorted(loop.actions.items()),
+        sorted(loop.injected.items()),
+        loop.latencies,
+        loop.ring_overflow(),
+        loop.packets_in,
+    )
+    assert witness == HOOK_RESTEER_EXPECTED

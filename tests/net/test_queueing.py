@@ -1,5 +1,7 @@
 """Latency-faithful receive path: arrivals, rings, sojourn accounting."""
 
+import math
+
 import pytest
 
 from repro.ebpf.cost_model import ExecMode
@@ -70,7 +72,13 @@ class TestArrivalProcess:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(base_pps=0), dict(base_pps=-1.0), dict(base_pps=1e6, start_ns=-1)],
+        [
+            dict(base_pps=0),
+            dict(base_pps=-1.0),
+            dict(base_pps=1e6, start_ns=-1),
+            dict(base_pps=math.nan),
+            dict(base_pps=math.inf),
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -81,6 +89,23 @@ class TestArrivalProcess:
             BurstPhase(duration_s=0, pps=1e6)
         with pytest.raises(ValueError):
             BurstPhase(duration_s=1.0, pps=0)
+
+    @pytest.mark.parametrize("duration_s, pps", [
+        (math.nan, 1e6), (math.inf, 1e6), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_burst_phase_rejects_non_finite(self, duration_s, pps):
+        with pytest.raises(ValueError, match="positive finite"):
+            BurstPhase(duration_s=duration_s, pps=pps)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(peak_pps=math.nan), dict(peak_pps=math.inf),
+        dict(lead_s=math.nan), dict(burst_s=math.inf),
+    ])
+    def test_flash_crowd_rejects_non_finite(self, kwargs):
+        args = dict(base_pps=1e6, peak_pps=2e6, lead_s=0.001, burst_s=0.001)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match="positive finite"):
+            ArrivalProcess.flash_crowd(**args)
 
     def test_from_spec_steady(self):
         proc = ArrivalProcess.from_spec("2e6", seed=9)

@@ -224,6 +224,13 @@ class TestLatencyFlags:
         (["--wedge-at", "100"], "--wedge-at needs --wedge-core"),
         (["--detection-mean", "100"], "--detection-mean needs --wedge-core"),
         (["--wedge-core", "1", "--detection-mean", "10"], "min_packets"),
+        # Non-finite floats stop at the boundary, not deep in the run.
+        (["--burst", "nan"], "positive finite"),
+        (["--burst", "inf"], "positive finite"),
+        (["--burst", "1e6:2e6:nan:0.001"], "positive finite"),
+        (["--burst", "1e6:inf:0.001:0.001"], "positive finite"),
+        (["--burst", "1e6", "--slo-p99", "nan"], "positive finite"),
+        (["--burst", "1e6", "--slo-p99", "inf"], "positive finite"),
     ])
     def test_flag_validation_exits_two(self, trace_csv, argv, hint, capsys):
         with pytest.raises(SystemExit) as exc:
