@@ -52,7 +52,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.algorithms.hashing import fast_hash32
+from ..core.algorithms.hashing import fast_hash32, fast_hash32_src
 from ..datastructs.cuckoo import BlockedCuckooTable
 from ..datastructs.heap import TopKHeap
 from ..ebpf.insn import (
@@ -388,15 +388,16 @@ def ir_registry(seed: int = 0, n_reals: int = KATRAN_REALS) -> KfuncRegistry:
         return _rake_update(k0, k1, k2, k3)
 
     def _inline_rake_update(args, bind):
-        # All four hierarchy levels unrolled: per-level salt and the
-        # sketch width burned in as literals, the rows bound once.
-        fh = bind("rfh", fast_hash32)
+        # All four hierarchy levels unrolled: each level's hash emitted
+        # as straight-line rounds with its salt pre-folded, the sketch
+        # width burned in as a literal, the rows bound once.
         lv = bind("rlv", levels)
         lines = []
         vals = []
         for i in range(RAKE_LEVELS):
             lines.append(f"_rr{i} = {lv}[{i}]")
-            lines.append(f"_rc{i} = {fh}({args[i]}, {1000 * i}) % {RAKE_WIDTH}")
+            lines.extend(fast_hash32_src(f"_rc{i}", args[i], 1000 * i))
+            lines.append(f"_rc{i} = _rc{i} % {RAKE_WIDTH}")
             lines.append(f"_rv{i} = _rr{i}[_rc{i}] + 1")
             lines.append(f"_rr{i}[_rc{i}] = _rv{i}")
             vals.append(f"_rv{i}")

@@ -17,6 +17,20 @@ Three interface tiers, mirroring the paper's argument:
 Hash values themselves come from a splitmix64 finalizer (real
 computation, deterministic, well-distributed); cycle costs are charged
 per the execution mode.
+
+Host fast path: each of :func:`fast_hash64`, :func:`fast_hash32` and
+:func:`crc_hash32` is one Python call.  An ``int`` key goes straight
+into the rounds; only ``bytes`` keys and ``int`` subclasses such as
+``bool`` pass through :func:`_to_int` first.  No pre-mask is needed
+because the rounds are mod-2^64 arithmetic: ``(k & M64) + c``,
+``(k & M64) ^ c`` and ``(k & M64) * c`` agree with ``k + c``,
+``k ^ c`` and ``k * c`` modulo 2^64, for negative ``k`` and ``k >=
+2^64`` alike.  :func:`fast_hash32` leaves its last multiply unmasked:
+its low 32 output bits depend only on the product's low 63 bits.
+The count-min bulk loop (:meth:`HashAlgos.hash_cnt_bulk`) runs the
+same rounds inline, and :func:`fast_hash32_src` emits them as source
+for fused inline specs, so the rounds are written out in this module
+only.
 """
 
 from __future__ import annotations
@@ -44,33 +58,57 @@ def _to_int(key: KeyLike) -> int:
             chunk = int.from_bytes(key[i : i + 8], "little")
             x = ((x * 0x100000001B3) ^ chunk) & M64
         return x
-    return key & M64 if key >= 0 else (key & M64)
+    return key & M64
+
+
+#: Splitmix64's golden-ratio increment; seed ``s`` salts the key with
+#: ``(s + 1) * _GOLDEN``.
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def fast_hash64(key: KeyLike, seed: int = 0) -> int:
     """Splitmix64-style avalanche hash (functional stand-in for xxhash)."""
-    x = (_to_int(key) + (seed + 1) * 0x9E3779B97F4A7C15) & M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & M64
-    x ^= x >> 31
-    return x
+    if key.__class__ is not int:
+        key = _to_int(key)
+    x = (key + (seed + 1) * _GOLDEN) & M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & M64
+    return x ^ (x >> 31)
 
 
 def fast_hash32(key: KeyLike, seed: int = 0) -> int:
-    """32-bit variant of :func:`fast_hash64`."""
-    return fast_hash64(key, seed) & M32
+    """32-bit variant of :func:`fast_hash64`: its low 32 bits."""
+    if key.__class__ is not int:
+        key = _to_int(key)
+    x = (key + (seed + 1) * _GOLDEN) & M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return (x ^ (x >> 31)) & M32
+
+
+def fast_hash32_src(dst: str, key_expr: str, seed: int = 0) -> List[str]:
+    """:func:`fast_hash32` as straight-line source that assigns ``dst``.
+
+    For codegen (fused inline specs): ``key_expr`` must evaluate to an
+    ``int`` and is evaluated once; the seed's salt is folded into a
+    literal.
+    """
+    salt = ((seed + 1) * _GOLDEN) & M64
+    return [
+        f"{dst} = ({key_expr} + 0x{salt:X}) & 0x{M64:X}",
+        f"{dst} = (({dst} ^ ({dst} >> 30)) * 0xBF58476D1CE4E5B9) & 0x{M64:X}",
+        f"{dst} = ({dst} ^ ({dst} >> 27)) * 0x94D049BB133111EB",
+        f"{dst} = ({dst} ^ ({dst} >> 31)) & 0x{M32:X}",
+    ]
 
 
 def crc_hash32(key: KeyLike, seed: int = 0) -> int:
     """Stand-in for a hardware CRC32C hash (distinct mixing constant)."""
-    x = (_to_int(key) ^ (seed * 0x9E3779B1 + 0x85EBCA77)) & M64
-    x = (x * 0xC2B2AE3D27D4EB4F) & M64
-    x ^= x >> 29
-    x = (x * 0x165667B19E3779F9) & M64
-    x ^= x >> 32
-    return x & M32
+    if key.__class__ is not int:
+        key = _to_int(key)
+    x = ((key ^ (seed * 0x9E3779B1 + 0x85EBCA77)) * 0xC2B2AE3D27D4EB4F) & M64
+    x = ((x ^ (x >> 29)) * 0x165667B19E3779F9) & M64
+    return (x ^ (x >> 32)) & M32
 
 
 class HashAlgos:
@@ -187,10 +225,19 @@ class HashAlgos:
             )
         per_key += costs.counter_update * k
         self.rt.charge(per_key * n, self.category)
-        widths = [len(counters[row]) for row in range(k)]
+        # fast_hash32(key, row) inline, each row's salt prebuilt.
+        plan = [
+            (counters[row], len(counters[row]), ((row + 1) * _GOLDEN) & M64)
+            for row in range(k)
+        ]
         for key in keys:
-            for row in range(k):
-                counters[row][fast_hash32(key, row) % widths[row]] += delta
+            if key.__class__ is not int:
+                key = _to_int(key)
+            for counter_row, width, salt in plan:
+                x = (key + salt) & M64
+                x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & M64
+                x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+                counter_row[((x ^ (x >> 31)) & M32) % width] += delta
 
     def hash_min_read(
         self, counters: Sequence[Sequence[int]], key: KeyLike, k: int
