@@ -11,7 +11,8 @@ range-aware verifier proved:
   checks elided, loops bounded/widened and fixpoint iterations
   (``--json``); ``--widen off`` restores the seed verifier's per-trip
   loop enumeration and ``--widen always`` force-widens every back-edge
-  target (the precision-ablation modes of ``bench_widening.py``),
+  target (the precision-ablation modes that
+  ``tests/ebpf/test_widening.py`` checks),
 - the JIT backend (``--backend jit``): every accepted program is
   lowered to its generated-Python closure with per-program compile
   time; adding ``--bench`` also executes each program on both backends

@@ -6,7 +6,8 @@ Real XDP programs cannot crash: helper failures surface as error codes
 ``XDP_ABORTED`` counted by the kernel's ``xdp_exception`` tracepoint,
 and the NF keeps forwarding.  This module reproduces that fault model
 so the rest of the data plane can be hardened against it — and so
-resilience can be *measured* (``benchmarks/bench_resilience.py``).
+resilience can be *measured* (the fault-rate sweep and watchdog
+contracts in ``tests/net/test_resilience.py``).
 
 Two pieces:
 

@@ -23,8 +23,13 @@ from repro.apps.ir import (
     verify_app_chains,
 )
 from repro.datastructs.cuckoo import BlockedCuckooTable
+from repro.ebpf.runtime import BpfRuntime
+from repro.faults import FaultPlan
 from repro.net.flowgen import FlowGenerator
 from repro.net.multicore import RssDispatcher
+from repro.net.queueing import ArrivalProcess, QueueingConfig
+
+from tests.speed import best_of, timed
 
 SEED = 1009
 BACKENDS = ("interp", "jit", "fused")
@@ -83,6 +88,8 @@ def test_unknown_app_rejected():
 
 
 def test_chains_are_two_stage_pipelines():
+    assert set(IR_APP_NAMES) == {"katran", "rakelimit", "polycube",
+                                 "sketches"}
     for name in IR_APP_NAMES:
         chain = app_chain(name)
         assert len(chain) == 2
@@ -202,6 +209,125 @@ def test_multicore_per_core_state_is_private():
     states = [nf.registry.app_state for nf in disp.nfs]
     assert states[0] is not states[1]
     assert states[0].katran.conns is not states[1].katran.conns
+
+
+# -- measured apps: host speed, fleet parity, the cluster day ---------------
+
+#: Packet faults plus helper and map errors, seed-pinned.
+CHAOS = FaultPlan(seed=77, drop_rate=0.02, corrupt_rate=0.02,
+                  truncate_rate=0.01, helper_rate=0.02, map_full_rate=0.02)
+
+
+def _measured_trace():
+    return _trace(n=1500, n_flows=1024, seed=14)
+
+
+@pytest.mark.parametrize("app", IR_APP_NAMES)
+def test_fused_outruns_interp_bit_identically(app):
+    """Best of 3 per backend over 1500 packets on one core: every
+    backend gives the interpreter's witness, and fused runs >= 2x it."""
+    trace = _measured_trace()
+
+    def rep(backend):
+        rt = BpfRuntime(seed=1)
+        nf = app_nf(app, rt=rt, backend=backend, seed=1,
+                    registry=ir_registry(1))
+        seconds, _ = timed(nf.process_batch, trace)
+        return seconds, (tuple(nf.returns), rt.cycles.total,
+                         nf.stats.insn_cycles, nf.stats.check_cycles)
+
+    runs = {b: best_of(lambda: rep(b)) for b in BACKENDS}
+    assert runs["jit"][1] == runs["interp"][1]
+    assert runs["fused"][1] == runs["interp"][1]
+    assert runs["interp"][0] / runs["fused"][0] >= 2.0
+
+
+def _fleet_witness(app, backend, faults=None):
+    """The 4-core ntuple-steered witness, the same on each of 3 runs."""
+    trace = _measured_trace()
+
+    def rep():
+        disp = RssDispatcher(
+            app_nf_factory(app, backend=backend, registry_seed=2),
+            n_cores=4, steering="ntuple", faults=faults,
+        )
+        seconds, res = timed(disp.run, trace)
+        assert res.is_fully_accounted
+        return seconds, (
+            tuple(sorted(res.accounting().items())),
+            tuple(sorted(res.errors.items())),
+            res.total_cycles,
+            tuple(sorted(res.injected.items())),
+            tuple(tuple(nf.returns) for nf in disp.nfs),
+        )
+
+    return best_of(rep)[1]
+
+
+@pytest.mark.parametrize("app", IR_APP_NAMES)
+def test_fleet_fused_matches_jit_clean_and_under_chaos(app):
+    assert _fleet_witness(app, "fused") == _fleet_witness(app, "jit")
+    assert (_fleet_witness(app, "fused", CHAOS)
+            == _fleet_witness(app, "jit", CHAOS))
+
+
+def _cluster_day(backend):
+    """Katran on 2 cores over 2000 Zipf packets (512 flows) under chaos
+    and 256-slot RX rings: a steady half, then ``fail_real(3)`` on every
+    core, then a flash crowd at 7x the base rate."""
+    n_packets = 2000
+    arrivals = ArrivalProcess.flash_crowd(
+        base_pps=500_000.0, peak_pps=3_500_000.0,
+        lead_s=(n_packets / 2) / 500_000.0,
+        burst_s=(n_packets / 4) / 3_500_000.0, seed=9,
+    )
+    trace = list(FlowGenerator(
+        n_flows=512, distribution="zipf", zipf_s=1.1, seed=9
+    ).iter_trace_bursty(n_packets, arrivals))
+    disp = RssDispatcher(
+        app_nf_factory("katran", backend=backend, registry_seed=4),
+        n_cores=2, steering="ntuple", faults=CHAOS,
+        queueing=QueueingConfig(rx_ring_size=256, batch_timeout_ns=20_000),
+    )
+    steady = disp.run(trace[:n_packets // 2])
+    reports = [nf.registry.app_state.katran.fail_real(3) for nf in disp.nfs]
+    crowd = disp.run(trace[n_packets // 2:])
+    return (steady, crowd), reports
+
+
+@pytest.fixture(scope="module")
+def cluster_day():
+    return {backend: _cluster_day(backend) for backend in ("interp", "fused")}
+
+
+def test_cluster_day_fused_matches_interp(cluster_day):
+    def witness(phases, reports):
+        return (
+            [(sorted(r.accounting().items()), sorted(r.errors.items()),
+              r.total_cycles, sorted(r.injected.items()), r.latencies_ns)
+             for r in phases],
+            [sorted(report.items()) for report in reports],
+        )
+
+    assert witness(*cluster_day["fused"]) == witness(*cluster_day["interp"])
+
+
+def test_cluster_day_phases_account_and_order_latency(cluster_day):
+    phases, _ = cluster_day["fused"]
+    for res in phases:
+        assert res.is_fully_accounted
+        assert res.aggregate_mpps > 0
+        assert res.p99_latency_us >= res.p50_latency_us >= 0
+
+
+def test_cluster_day_failover_disruption(cluster_day):
+    """Failing one real evicts its connections and moves under half of
+    each core's CH ring."""
+    _, reports = cluster_day["fused"]
+    assert sum(r["evicted"] for r in reports) > 0
+    moved = sum(r["moved"] for r in reports)
+    disruption = moved / (reports[0]["ring_size"] * len(reports))
+    assert 0.0 < disruption < 0.5
 
 
 # -- cuckoo control-plane snapshot -----------------------------------------

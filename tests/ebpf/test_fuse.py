@@ -28,10 +28,14 @@ from repro.ebpf.progs import (
 )
 from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
+from repro.faults import FaultPlan
+from repro.net.flowgen import FlowGenerator
 from repro.net.irnf import IrChainNf
+from repro.net.multicore import RssDispatcher, chain_nf_factory
 from repro.net.packet import Packet
 
 from tests.ebpf.test_verifier_differential import _gen_program
+from tests.speed import best_of, timed
 
 SEED = 20260809
 N_FUZZ_CHAINS = int(os.environ.get("REPRO_FUZZ_CHAINS", "40"))
@@ -134,6 +138,94 @@ def test_single_packet_process_parity():
     assert acts_i == acts_f
     assert (_observe(nf_i, rt_i, reg_i, tuple(acts_i))
             == _observe(nf_f, rt_f, reg_f, tuple(acts_f)))
+
+
+# -- measured chains: host speed and fleet parity ---------------------------
+
+#: The classifier -> count-min -> Maglev prefixes, plus a 4-NF chain that
+#: re-enters the count-min stage (sketches are the NF most often stacked).
+MEASURED_CHAINS = {
+    "1nf": NF_CHAIN_STAGES[:1],
+    "2nf": NF_CHAIN_STAGES[:2],
+    "3nf": NF_CHAIN_STAGES,
+    "4nf": ("nf_classifier", "nf_cm_sketch", "nf_cm_sketch",
+            "nf_maglev_pick"),
+}
+
+#: Packet faults plus helper and map errors, seed-pinned.
+CHAOS = FaultPlan(seed=77, drop_rate=0.02, corrupt_rate=0.03,
+                  truncate_rate=0.02, dup_rate=0.02, helper_rate=0.03,
+                  map_full_rate=0.03)
+
+
+def _measured_trace():
+    return FlowGenerator(n_flows=64, seed=3).trace(1200)
+
+
+@pytest.fixture(scope="module")
+def single_core():
+    """Best of 3 per backend over 1200 packets on one core:
+    ``label -> backend -> (seconds, (returns, cycle total))``."""
+    trace = _measured_trace()
+
+    def rep(progs, backend):
+        rt = BpfRuntime(seed=1)
+        nf = IrChainNf(rt, progs, registry=runnable_registry(1),
+                       backend=backend)
+        seconds, _ = timed(nf.process_batch, trace)
+        return seconds, (tuple(nf.returns), rt.cycles.total)
+
+    out = {}
+    for label, combo in MEASURED_CHAINS.items():
+        progs = [get_case(n).prog for n in combo]
+        out[label] = {b: best_of(lambda: rep(progs, b))
+                      for b in ("interp", "jit", "fused")}
+    return out
+
+
+def _fleet_witness(label, backend, faults=None):
+    """The 4-core dispatcher witness, the same on each of 3 runs."""
+    progs = [get_case(n).prog for n in MEASURED_CHAINS[label]]
+    trace = _measured_trace()
+
+    def rep():
+        disp = RssDispatcher(chain_nf_factory(progs, backend=backend),
+                             n_cores=4, faults=faults)
+        seconds, result = timed(disp.run, trace)
+        return seconds, (
+            tuple(sorted(result.accounting().items())),
+            tuple(sorted(result.errors.items())),
+            result.total_cycles,
+            tuple(sorted((c.name, v) for c, v in result.by_category.items())),
+            tuple(tuple(nf.returns) for nf in disp.nfs),
+        )
+
+    return best_of(rep)[1]
+
+
+@pytest.mark.parametrize("label", sorted(MEASURED_CHAINS))
+def test_measured_chain_single_core_parity(single_core, label):
+    runs = single_core[label]
+    assert runs["jit"][1] == runs["interp"][1]
+    assert runs["fused"][1] == runs["interp"][1]
+
+
+@pytest.mark.parametrize("label", sorted(MEASURED_CHAINS))
+def test_measured_chain_fleet_parity(label):
+    interp = _fleet_witness(label, "interp")
+    assert _fleet_witness(label, "jit") == interp
+    assert _fleet_witness(label, "fused") == interp
+    assert (_fleet_witness(label, "fused", CHAOS)
+            == _fleet_witness(label, "interp", CHAOS))
+
+
+def test_fused_three_nf_chain_speed_bars(single_core):
+    """The fused 3-NF chain runs >= 1.2x the per-NF JIT and >= 3x the
+    interpreter (best of 3 per backend)."""
+    runs = single_core["3nf"]
+    fused_s = runs["fused"][0]
+    assert runs["jit"][0] / fused_s >= 1.2
+    assert runs["interp"][0] / fused_s >= 3.0
 
 
 # -- specialization metadata ------------------------------------------------

@@ -17,7 +17,6 @@ import pytest
 from repro.ebpf.cost_model import Cycles
 from repro.ebpf.insn import (
     Alu,
-    Call,
     Exit,
     Imm,
     JmpIf,
@@ -42,8 +41,14 @@ from repro.ebpf.jit import (
     program_hash,
 )
 from repro.ebpf.progs import bundled_cases, get_case, runnable_registry
+from repro.ebpf.runtime import BpfRuntime
 from repro.ebpf.verifier import Verifier, VerifierError
 from repro.ebpf.vm import Vm
+from repro.net.flowgen import FlowGenerator
+from repro.net.irnf import IrNf
+
+from tests.ebpf.test_verifier import eq_dispatch_prog
+from tests.speed import best_of, timed
 
 SEED = 20260806
 
@@ -149,6 +154,26 @@ def test_unknown_backend_rejected():
         Vm(runnable_registry(0), backend="llvm")
 
 
+@pytest.mark.parametrize(
+    "name", ["nf_classifier", "nf_cm_sketch", "nf_maglev_pick"]
+)
+def test_jit_outruns_interp_bit_identically(name):
+    """Best of 3 per backend over 1500 packets: the JIT replays the
+    interpreter's r0 sequence and cycle total at >= 1.5x its speed."""
+    trace = FlowGenerator(n_flows=64, seed=3).trace(1500)
+
+    def rep(backend):
+        rt = BpfRuntime(seed=1)
+        nf = IrNf(rt, get_case(name).prog, seed=1, backend=backend)
+        seconds, _ = timed(nf.process_batch, trace)
+        return seconds, (tuple(nf.returns), rt.cycles.total)
+
+    interp_s, interp = best_of(lambda: rep("interp"))
+    jit_s, jit = best_of(lambda: rep("jit"))
+    assert jit == interp
+    assert interp_s / jit_s >= 1.5
+
+
 # -- generated code shape ----------------------------------------------------
 
 
@@ -252,29 +277,11 @@ def test_vm_runs_share_cached_closure():
 # -- subsumption pruning budget ----------------------------------------------
 
 
-def _eq_dispatch_prog(k: int, tail_pad: int) -> Program:
-    """Switch-style eq-chain whose arms share a long tail: the pruned
-    verifier visits the tail once (general state) and subsumes every
-    refined arm; the unpruned verifier re-walks it per arm."""
-    insns = [
-        Call("bpf_get_prandom_u32"),
-        Mov(R6, R0),
-        Alu("and", R6, Imm(0xFF)),
-    ]
-    tail = 3 + k
-    for i in range(k):
-        insns.append(JmpIf("eq", R6, Imm(i + 1), tail))
-    insns += [Mov(R0, R6)]
-    insns += [Alu("add", R0, Imm(1)) for _ in range(tail_pad)]
-    insns += [Alu("and", R0, Imm(3)), Exit()]
-    return Program(insns, name=f"eq_dispatch_{k}_{tail_pad}")
-
-
 def test_pruning_verifies_within_budget_unpruned_exceeds():
     """The acceptance demo: under the same ``max_states`` budget, the
     pruned verifier accepts the dispatch-heavy program that the
     unpruned verifier rejects as too complex."""
-    prog = _eq_dispatch_prog(12, 24)
+    prog = eq_dispatch_prog(12, 24)
     reg = runnable_registry(0)
     budget = 128
 
@@ -294,7 +301,7 @@ def test_pruning_verifies_within_budget_unpruned_exceeds():
 
 def test_pruned_program_runs_with_jit_parity():
     """The pruned proof table still drives a correct JIT compile."""
-    prog = _eq_dispatch_prog(8, 8)
+    prog = eq_dispatch_prog(8, 8)
     vp = Verifier(runnable_registry(0), max_states=128).verify(prog)
     for seed in (1, 2):
         vm_i, r0_i = _run(prog, vp, "interp", b"", seed=seed)

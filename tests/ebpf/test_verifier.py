@@ -35,7 +35,10 @@ from repro.ebpf.kfunc_meta import (
     KF_RET_NULL,
     default_registry,
 )
+from repro.ebpf.progs import runnable_registry
 from repro.ebpf.verifier import Verifier, VerifierError
+
+from tests.speed import best_of, timed
 
 
 @pytest.fixture
@@ -55,6 +58,24 @@ def verify(verifier, *insns, name="t"):
 def reject(verifier, *insns, match):
     with pytest.raises(VerifierError, match=match):
         verify(verifier, *insns)
+
+
+def eq_dispatch_prog(k: int, tail_pad: int) -> Program:
+    """Switch-style eq-chain whose arms share a long tail: the pruned
+    verifier visits the tail once (general state) and subsumes every
+    refined arm; the unpruned verifier re-walks it per arm."""
+    insns = [
+        Call("bpf_get_prandom_u32"),
+        Mov(R6, R0),
+        Alu("and", R6, Imm(0xFF)),
+    ]
+    tail = 3 + k
+    for i in range(k):
+        insns.append(JmpIf("eq", R6, Imm(i + 1), tail))
+    insns += [Mov(R0, R6)]
+    insns += [Alu("add", R0, Imm(1)) for _ in range(tail_pad)]
+    insns += [Alu("and", R0, Imm(3)), Exit()]
+    return Program(insns, name=f"eq_dispatch_{k}_{tail_pad}")
 
 
 class TestBasics:
@@ -611,3 +632,26 @@ class TestStatePruning:
             Exit(),
         )
         assert stats.states_explored < 32
+
+    @pytest.mark.parametrize("k, pad", [(8, 16), (12, 24), (16, 32)])
+    def test_pruning_keeps_proofs_in_fewer_states(self, k, pad):
+        reg = runnable_registry(0)
+        prog = eq_dispatch_prog(k, pad)
+        pruned = Verifier(reg).verify(prog)
+        unpruned = Verifier(reg, prune=False).verify(prog)
+        assert pruned.annotations.safe_mem == unpruned.annotations.safe_mem
+        assert pruned.annotations.safe_div == unpruned.annotations.safe_div
+        assert pruned.stats.states_explored < unpruned.stats.states_explored
+
+    def test_pruning_verifies_faster_at_largest_dispatch(self):
+        """Best of 3 per side on the 16-arm, 32-insn-tail program."""
+        reg = runnable_registry(0)
+        prog = eq_dispatch_prog(16, 32)
+
+        def rep(prune):
+            seconds, vp = timed(Verifier(reg, prune=prune).verify, prog)
+            return seconds, vp.stats.states_explored
+
+        pruned_s, _ = best_of(lambda: rep(True))
+        unpruned_s, _ = best_of(lambda: rep(False))
+        assert unpruned_s / pruned_s > 1.0

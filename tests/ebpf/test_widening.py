@@ -11,9 +11,10 @@ backends.
 
 import pytest
 
+from repro.ebpf.insn import Alu, Imm, Program, R8
 from repro.ebpf.jit import compile_program
 from repro.ebpf.kfunc_meta import default_registry
-from repro.ebpf.progs import get_case, runnable_registry
+from repro.ebpf.progs import bundled_cases, get_case, runnable_registry
 from repro.ebpf.verifier import (
     MAX_FIXPOINT_ITERS,
     Verifier,
@@ -23,6 +24,8 @@ from repro.ebpf.verifier import (
 from repro.net.packet import Packet
 from repro.net.irnf import IrNf
 from repro.ebpf.runtime import BpfRuntime
+
+from tests.speed import best_of, timed
 
 DATA_LOOPS = ("loop_pkt_search", "loop_lpm_walk")
 
@@ -57,6 +60,7 @@ class TestBundledDataLoops:
         # data-dependent bound is 16383) and below the widening trip
         # threshold itself.
         assert st.states_explored < WIDEN_AFTER_TRIPS
+        assert st.states_explored <= 64
         assert len(vp.loop_invariants) == 1
         (inv,) = vp.loop_invariants.values()
         assert inv.trip_bound == 16385  # 0x3fff bound, +2 slack
@@ -110,6 +114,89 @@ class TestBundledDataLoops:
             )
             assert set(nf.returns) <= {1, 2}, nf.returns
         assert results["interp"] == results["jit"]
+
+
+def _search_prog(mask: int) -> Program:
+    """``loop_pkt_search`` with its bound mask (insn 7, ``r8 &= 0x3fff``)
+    narrowed: small masks keep the seed verifier's per-trip enumeration
+    inside the state budget, so seed and widened verification both
+    accept."""
+    insns = list(get_case("loop_pkt_search").prog)
+    assert insns[7] == Alu("and", R8, Imm(0x3FFF))
+    insns[7] = Alu("and", R8, Imm(mask))
+    return Program(insns, name=f"search_{mask:#x}")
+
+
+def _proofs(vp) -> set:
+    return ({("mem", pc) for pc in vp.annotations.safe_mem}
+            | {("div", pc) for pc in vp.annotations.safe_div})
+
+
+def _verify_or_none(verifier, prog):
+    try:
+        return verifier.verify(prog)
+    except VerifierError:
+        return None
+
+
+class TestVerifyTimeScaling:
+    """A mask ladder over the bounded linear search.  Every rung's trip
+    bound exceeds ``WIDEN_AFTER_TRIPS``, so auto mode widens it, while
+    the seed verifier still accepts by enumerating each trip."""
+
+    MASKS = (0xFF, 0x1FF, 0x3FF)
+
+    @pytest.fixture(scope="class")
+    def ladder(self, registry):
+        return [
+            (Verifier(registry, widen="off").verify(_search_prog(mask)),
+             Verifier(registry).verify(_search_prog(mask)))
+            for mask in self.MASKS
+        ]
+
+    def test_every_rung_widens_without_losing_proofs(self, ladder):
+        for seed, widened in ladder:
+            assert widened.stats.loops_widened == 1
+            assert _proofs(seed) <= _proofs(widened)
+
+    def test_seed_states_grow_while_widened_states_stay_flat(self, ladder):
+        seed_states = [seed.stats.states_explored for seed, _ in ladder]
+        assert seed_states == sorted(set(seed_states))
+        widened = [w.stats.states_explored for _, w in ladder]
+        assert max(widened) <= 2 * min(widened)
+        assert seed_states[-1] >= 10 * widened[-1]
+
+    def test_widening_verifies_faster_at_largest_rung(self, registry):
+        """Best of 3 per mode on the 0x3ff rung."""
+        prog = _search_prog(self.MASKS[-1])
+
+        def rep(widen):
+            seconds, vp = timed(Verifier(registry, widen=widen).verify, prog)
+            return seconds, vp.stats.states_explored
+
+        seed_s, _ = best_of(lambda: rep("off"))
+        widened_s, _ = best_of(lambda: rep("auto"))
+        assert seed_s / widened_s > 1.0
+
+
+def test_widen_always_ablation_over_bundled_corpus(registry):
+    """Widening every back-edge target never accepts a program the
+    precise verifier rejects, keeps most accepts, and keeps at least
+    half of their proofs."""
+    kept = lost = survived = total = 0
+    for case in bundled_cases():
+        base = _verify_or_none(Verifier(registry), case.prog)
+        wide = _verify_or_none(Verifier(registry, widen="always"), case.prog)
+        if base is None:
+            assert wide is None, case.name
+        elif wide is None:
+            lost += 1
+        else:
+            kept += 1
+            survived += len(_proofs(base) & _proofs(wide))
+            total += len(_proofs(base))
+    assert kept >= lost
+    assert total == 0 or survived / total >= 0.5
 
 
 class TestWidenModes:

@@ -292,3 +292,64 @@ class TestMulticoreAccounting:
         assert sum(drops) > 0
         # With decorrelated streams the exact counts differ across cores.
         assert len(set(drops)) > 1
+
+
+class TestHeadlineFleet:
+    """8 cores over 8192 Zipf flows: the fault-rate sweep, the watchdog
+    and the plan-seed determinism at the 1% headline rate."""
+
+    N_PACKETS = 8000
+    HEADLINE_RATE = 0.01
+
+    def run(self, plan=None):
+        dispatcher = RssDispatcher(
+            countmin_factory, n_cores=8, faults=plan, watchdog_deadline=512
+        )
+        return dispatcher.run(iter(trace(self.N_PACKETS, n_flows=8192)))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.001, 0.01, 0.05])
+    def test_fault_rate_sweep_fully_accounted(self, rate):
+        result = self.run(FaultPlan.uniform(rate, seed=11) if rate else None)
+        assert result.is_fully_accounted
+        acc = result.accounting()
+        assert (
+            acc["packets_in"] + acc["duplicated"]
+            == acc["forwarded"] + acc["dropped"] + acc["aborted"]
+        )
+        assert (sum(result.injected.values()) > 0) == (rate > 0)
+        if rate == self.HEADLINE_RATE:
+            assert sum(result.errors.values()) > 0
+
+    def test_crash_resteers_and_costs_throughput(self):
+        healthy = self.run(FaultPlan.uniform(self.HEADLINE_RATE, seed=11))
+        crashed = self.run(FaultPlan.uniform(
+            self.HEADLINE_RATE, seed=11,
+            crash_core=3, crash_at=self.N_PACKETS // 32,
+        ))
+        assert crashed.is_fully_accounted
+        [failure] = crashed.failures
+        assert failure.kind == "crash"
+        assert failure.resteered > 0
+        assert crashed.lost == 0
+        assert crashed.aggregate_mpps < healthy.aggregate_mpps
+
+    def test_wedge_loses_packets_until_detected(self):
+        wedged = self.run(FaultPlan.uniform(
+            self.HEADLINE_RATE, seed=11,
+            wedge_core=2, wedge_at=self.N_PACKETS // 32,
+        ))
+        assert wedged.is_fully_accounted
+        [failure] = wedged.failures
+        assert failure.kind == "wedge"
+        assert wedged.lost > 0
+
+    def test_plan_seed_reproduces_and_other_seed_diverges(self):
+        a, b, c = (
+            self.run(FaultPlan.uniform(self.HEADLINE_RATE, seed=seed))
+            for seed in (77, 77, 78)
+        )
+        assert a.accounting() == b.accounting()
+        assert a.injected == b.injected
+        assert a.errors == b.errors
+        assert a.per_core_cycles == b.per_core_cycles
+        assert c.injected != a.injected or c.accounting() != a.accounting()

@@ -6,6 +6,7 @@ from repro.ebpf.cost_model import ExecMode
 from repro.ebpf.runtime import BpfRuntime
 from repro.faults import FaultPlan, WedgeDetection
 from repro.net.flowgen import FlowGenerator
+from repro.net.multicore import RssDispatcher
 from repro.net.queueing import ArrivalProcess, QueueingConfig
 from repro.net.slo import (
     CoreAutoscaler,
@@ -400,3 +401,105 @@ class TestSloController:
             self.controller(config=SloConfig(min_cores=8))
         with pytest.raises(ValueError, match="nonexistent core"):
             self.controller(faults=FaultPlan(crash_core=7))
+
+
+class TestLatencyVsLoad:
+    """A fixed 4-core fleet over 1024 Zipf flows, 10000 packets per
+    operating point: steady loads from ~0.2x to ~2.4x of capacity."""
+
+    LOADS = (4e6, 1e7, 1.8e7, 2.4e7, 4.8e7)
+
+    @staticmethod
+    def run(arrivals, n=10_000, **kw):
+        trace = bursty_trace(n, arrivals, n_flows=1024)
+        return RssDispatcher(countmin_factory, n_cores=4, **kw).run(trace)
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return [
+            self.run(ArrivalProcess(pps, seed=5), queueing=QueueingConfig())
+            for pps in self.LOADS
+        ]
+
+    def test_every_point_fully_accounted(self, sweep):
+        assert all(result.is_fully_accounted for result in sweep)
+
+    def test_p99_rises_with_load(self, sweep):
+        p99s = [result.latency_summary()["p99_us"] for result in sweep]
+        assert p99s == sorted(p99s)
+
+    def test_overflow_only_past_saturation(self, sweep):
+        assert sweep[0].overflow_drops == 0
+        assert sweep[-1].overflow_drops > 0
+
+    def test_flash_crowd_pushes_tail_past_steady(self, sweep):
+        flash = self.run(
+            ArrivalProcess.flash_crowd(
+                8e6, 4.8e7, lead_s=0.0002, burst_s=0.0004, seed=5
+            ),
+            queueing=QueueingConfig(),
+        )
+        assert flash.is_fully_accounted
+        steady = sweep[0].latency_summary()["p99_us"]
+        assert flash.latency_summary()["p99_us"] > steady
+
+    def test_queueing_never_changes_cycles(self):
+        arrivals = ArrivalProcess(1e7, seed=5)
+        plain = self.run(arrivals, n=6000)
+        queued = self.run(arrivals, n=6000, queueing=QueueingConfig())
+        assert queued.total_cycles == plain.total_cycles
+        assert queued.actions == plain.actions
+
+
+class TestDisruption:
+    """The SLO loop over 12000 packets at 8 Mpps on 1024 Zipf flows:
+    2 of 4 cores active, one of them fails at packet 1500."""
+
+    @staticmethod
+    def run(plan, autoscale=True, rejoin_epochs=0, detection=None):
+        trace = bursty_trace(12_000, ArrivalProcess(8e6, seed=5),
+                             n_flows=1024)
+        return SloController(
+            countmin_factory,
+            max_cores=4,
+            initial_cores=2,
+            queueing=QueueingConfig(),
+            config=SloConfig(
+                target_p99_us=60.0,
+                epoch_packets=512,
+                autoscale=autoscale,
+                rejoin_epochs=rejoin_epochs,
+            ),
+            faults=plan,
+            detection=detection,
+            warmup=ColdStartWarmup(),
+        ).run(trace)
+
+    @pytest.mark.parametrize("kind", ["crash", "wedge"])
+    def test_fleet_recovers_and_only_a_wedge_loses_packets(self, kind):
+        run = self.run(
+            FaultPlan(**{f"{kind}_core": 1, f"{kind}_at": 1500}),
+            rejoin_epochs=4,
+            detection=WedgeDetection(mean_packets=512, min_packets=64,
+                                     seed=2),
+        )
+        assert run.is_fully_accounted
+        [failure] = run.failures
+        assert failure.kind == kind
+        assert run.recovery_s() is not None
+        assert (failure.lost > 0) == (kind == "wedge")
+
+    def test_autoscaler_ablation(self):
+        plan = FaultPlan(crash_core=1, crash_at=1500)
+        scaled = self.run(plan)
+        fixed = self.run(plan, autoscale=False)
+        assert scaled.is_fully_accounted and fixed.is_fully_accounted
+        assert scaled.violating_epochs()
+        assert scaled.recovery_s() is not None
+        assert fixed.recovery_s() is None
+        assert (scaled.latency_summary()["p99_us"]
+                < fixed.latency_summary()["p99_us"])
+        again = self.run(plan)
+        assert ([e.describe() for e in again.timeline]
+                == [e.describe() for e in scaled.timeline])
+        assert again.latencies_ns == scaled.latencies_ns

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.ebpf.cost_model import ExecMode
+from repro.ebpf.cost_model import ExecMode, NumaTopology
 from repro.ebpf.runtime import BpfRuntime
 from repro.net.flowgen import FlowGenerator
-from repro.net.multicore import RssDispatcher, merged_countmin_rows
+from repro.net.multicore import (
+    RssDispatcher,
+    merged_countmin_rows,
+    shard_trace,
+)
 from repro.net.steering import (
     POLICIES,
     NtupleSteering,
@@ -34,6 +38,19 @@ def run_policy(policy, trace):
     return RssDispatcher(
         countmin_factory, n_cores=N_CORES, steering=policy
     ).run(trace)
+
+
+#: The steering headline's trace length (Zipf(1.1), seed 5, 8 cores).
+HEADLINE_PACKETS = 6000
+
+
+def shard_path_cycles(trace):
+    """Materialize, shard by plain RSS, ``run_batch`` per core: the
+    accounting every steering policy must reproduce."""
+    return sum(
+        XdpPipeline(countmin_factory(core)).run_batch(queue).total_cycles
+        for core, queue in enumerate(shard_trace(trace, N_CORES))
+    )
 
 
 class TestPolicyConstruction:
@@ -104,6 +121,53 @@ class TestImbalanceImprovement:
             > results["rekey"].aggregate_pps
             > results["rss"].aggregate_pps
         )
+
+
+class TestHeadlineTrace:
+    """8192 flows keep Zipf(1.1)'s top flow under 1/8 of the packets;
+    with 2048 flows it carries more, so flow affinity alone holds every
+    policy above 1.3 there."""
+
+    @pytest.fixture(scope="class")
+    def headline(self):
+        """``n_flows -> (shard-path cycles, policy -> result)``."""
+        out = {}
+        for n_flows in (8192, 2048):
+            trace = zipf_trace(n_packets=HEADLINE_PACKETS, n_flows=n_flows)
+            out[n_flows] = shard_path_cycles(trace), {
+                name: run_policy(name, iter(trace))
+                for name in ("rss", "rekey", "ntuple")
+            }
+        return out
+
+    @pytest.mark.parametrize("n_flows", [8192, 2048])
+    def test_every_policy_charges_the_shard_path_cycles(self, headline,
+                                                        n_flows):
+        baseline, runs = headline[n_flows]
+        for name, result in runs.items():
+            assert result.total_cycles == baseline, name
+
+    @pytest.mark.parametrize("n_flows", [8192, 2048])
+    def test_steering_never_worse_than_rss(self, headline, n_flows):
+        _, runs = headline[n_flows]
+        assert runs["rekey"].imbalance <= runs["rss"].imbalance
+        assert runs["ntuple"].imbalance <= runs["rss"].imbalance
+
+    def test_ntuple_hits_acceptance_bar(self, headline):
+        _, runs = headline[8192]
+        assert runs["ntuple"].imbalance <= 1.3
+
+    def test_numa_penalty_leaves_cycles_and_never_raises_pps(self):
+        trace = zipf_trace(n_packets=HEADLINE_PACKETS)
+        one, two = (
+            RssDispatcher(
+                countmin_factory, n_cores=N_CORES, steering="ntuple",
+                numa=numa,
+            ).run(iter(trace))
+            for numa in (None, NumaTopology(n_nodes=2))
+        )
+        assert two.total_cycles == one.total_cycles
+        assert two.aggregate_mpps <= one.aggregate_mpps
 
 
 class TestFlowAffinity:

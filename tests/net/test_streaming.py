@@ -163,6 +163,20 @@ class TestStreamedEqualsMaterialized:
             ref = XdpPipeline(countmin_factory(core)).run_batch(queue)
             assert streamed.per_core[core] == ref
 
+    def test_dispatcher_on_steering_headline_trace(self):
+        """8 cores over the steering headline's 8192-flow Zipf trace."""
+        fg = FlowGenerator(n_flows=8192, seed=5, distribution="zipf")
+        materialized = RssDispatcher(countmin_factory, n_cores=8).run(
+            fg.trace(6000)
+        )
+        fg = FlowGenerator(n_flows=8192, seed=5, distribution="zipf")
+        streamed = RssDispatcher(countmin_factory, n_cores=8).run(
+            fg.iter_trace(6000)
+        )
+        assert streamed.per_core_cycles == materialized.per_core_cycles
+        assert streamed.actions == materialized.actions
+        assert streamed.n_packets == materialized.n_packets == 6000
+
     def test_sketch_state_identical(self):
         trace = self.trace()
         a = RssDispatcher(countmin_factory, n_cores=4, steering="ntuple")
